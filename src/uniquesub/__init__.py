@@ -8,8 +8,8 @@ from .census import (MAX_ENUMERATION_N, PolyaReport, enumerate_unlabelled,
                      nontrivial_aut_fraction, polya_report, unlabelled_count)
 from .embedding import (ALL_SIZES, SPANNING_ONLY, CountOutcome, EstimateReport, FValue,
                         count_embeddings, count_subgraph_copies, estimate_unique_prob,
-                        f_max_exact, f_of_h, has_unique_embedding, is_unique_subgraph,
-                        verify_embedding)
+                        f_max, f_max_exact, f_of_h, f_table, has_unique_embedding,
+                        is_unique_subgraph, verify_embedding)
 from .errors import DomainError, Graph6Error, ResourceLimitError, UniquesubError
 from .graphs import (Graph, VertexMap, complement, complete_graph, cycle_graph,
                      empty_graph, emit_graph6, from_edges, induced_subgraph,

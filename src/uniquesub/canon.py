@@ -63,7 +63,8 @@ def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-def _pair_weights(n: int) -> list[list[int]]:
+@lru_cache(maxsize=64)
+def _pair_weights(n: int) -> tuple[tuple[int, ...], ...]:
     """Bit value of pair (a, b), a < b, in the row-major upper-triangle code."""
     npairs = n * (n - 1) // 2
     weights = [[0] * n for _ in range(n)]
@@ -72,16 +73,11 @@ def _pair_weights(n: int) -> list[list[int]]:
         for b in range(a + 1, n):
             weights[a][b] = 1 << (npairs - 1 - rank)
             rank += 1
-    return weights
-
-
-@lru_cache(maxsize=64)
-def _cached_pair_weights(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in _pair_weights(n))
+    return tuple(tuple(row) for row in weights)
 
 
 def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
-    weights = _cached_pair_weights(n)
+    weights = _pair_weights(n)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
     best_code = -1
     best_count = 0

@@ -20,19 +20,22 @@ from typing import Any, Callable, Iterator, Sequence
 
 import mpmath
 
+from . import __version__
 from . import bounds as bounds_mod
 from .census import MAX_ENUMERATION_N, enumerate_unlabelled, nontrivial_aut_fraction, polya_report
-from .embedding import (ALL_SIZES, SPANNING_ONLY, EstimateReport, clopper_pearson,
-                        count_embeddings, estimate_unique_prob, f_max_exact, f_of_h)
+from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h, f_table,
+                        unique_trial)
 from .errors import Graph6Error, UniquesubError
 from .graphs import Graph, VertexMap, emit_graph6, parse_graph6
-from .process import ProcessTrace, sample_trace, uniqueness_interval, x_statistic
-from .sampling import derive_rng, gnp_half
+from .process import (ProcessTrace, embedding_trajectory, sample_trace, uniqueness_interval,
+                      x_statistic)
 from .switching import (SwitchContext, apply_switch, classify_degrees, default_schedule,
                         find_switch, is_embedding, refine_t, required_pairs,
                         switch_probability)
+# Not called here; the benchmark's traced run (perfbench/tracing.py) wraps these names.
+from .embedding import count_embeddings, f_max_exact  # noqa: F401
+from .sampling import derive_rng, gnp_half  # noqa: F401
 
-VERSION = "0.1.0"
 THREADS_ENV = "UNIQUESUB_THREADS"
 
 
@@ -58,18 +61,19 @@ def _universe(args: argparse.Namespace) -> str:
 
 def _thread_count(args: argparse.Namespace) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get(THREADS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return int(env) if env else os.cpu_count() or 1
 
 
 def _parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], threads: int) -> list[Any]:
-    if threads <= 1 or len(items) < 4 * threads:
+    """``[fn(x) for x in items]``, on at most ``threads`` workers, no more than
+    there are cores, and each given at least four items."""
+    workers = min(threads, os.cpu_count() or 1, len(items) // 4)
+    if workers <= 1:
         return [fn(x) for x in items]
-    chunk = max(1, len(items) // (threads * 4))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
 
@@ -77,8 +81,10 @@ def _need_seed(args: argparse.Namespace) -> int:
     return args.seed if args.seed is not None else secrets.randbits(63)
 
 
-def _parse_host(text: str) -> Graph:
-    return parse_graph6(text)
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_perm(text: str, n: int) -> VertexMap:
@@ -131,16 +137,16 @@ def _f_entry(fv) -> dict[str, Any]:
 
 def _cmd_f_exact(args: argparse.Namespace) -> dict[str, Any]:
     universe = _universe(args)
-    table = [_f_entry(f_of_h(h, universe)) for h in enumerate_unlabelled(args.n)]
-    best, best_g6 = f_max_exact(args.n, universe)
-    payload = {"n": args.n, "universe": universe, "table": table,
-               "max": _f_entry(best), "argmax_g6": best_g6}
+    table = f_table(args.n, universe)
+    best = _f_entry(f_max(table))
+    payload = {"n": args.n, "universe": universe, "table": [_f_entry(fv) for fv in table],
+               "max": best, "argmax_g6": best["h_g6"]}
     print(dumps(payload))
     return payload
 
 
 def _cmd_f_of_h(args: argparse.Namespace) -> dict[str, Any]:
-    h = _parse_host(args.g6)
+    h = parse_graph6(args.g6)
     payload = _f_entry(f_of_h(h, _universe(args), allow_large=args.allow_large))
     print(dumps(payload))
     return payload
@@ -148,24 +154,15 @@ def _cmd_f_of_h(args: argparse.Namespace) -> dict[str, Any]:
 
 def _estimate_trial(work: tuple[str, int, int]) -> bool:
     h_g6, seed, index = work
-    h = parse_graph6(h_g6)
-    g = gnp_half(h.n, derive_rng(seed, index))
-    return count_embeddings(g, h, early_exit_at=2).is_one
+    return unique_trial(parse_graph6(h_g6), seed, index)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
-    h = _parse_host(args.g6)
+    parse_graph6(args.g6)  # a bad host fails here, before any worker starts
     seed = _need_seed(args)
-    threads = _thread_count(args)
-    if threads > 1:
-        wins = _parallel_map(_estimate_trial, [(args.g6, seed, i) for i in range(args.trials)],
-                             threads)
-        successes = sum(bool(w) for w in wins)
-        lo, hi = clopper_pearson(successes, args.trials)
-        rep = EstimateReport(estimate=successes / args.trials, trials=args.trials,
-                             successes=successes, seed=seed, ci_low=lo, ci_high=hi)
-    else:
-        rep = estimate_unique_prob(h, args.trials, seed)
+    work = [(args.g6, seed, i) for i in range(args.trials)]
+    wins = _parallel_map(_estimate_trial, work, _thread_count(args))
+    rep = estimate_report(sum(wins), args.trials, seed)
     payload = {
         "h_g6": args.g6,
         "universe": "labelled-gnp-half",
@@ -181,23 +178,18 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
 
 def _trace_record(trace: ProcessTrace, h: Graph, index: int, L: float | None,
                   scan_all: bool) -> dict[str, Any]:
-    interval = uniqueness_interval(trace, h)
-    rec: dict[str, Any] = {
-        "trace_index": index,
-        "seed": trace.seed,
-        "interval": None if interval.is_empty else [interval.lo, interval.hi],
-    }
-    if L is not None:
+    rec: dict[str, Any] = {"trace_index": index, "seed": trace.seed}
+    if L is None:
+        interval = uniqueness_interval(trace, h)
+    else:
         xs = x_statistic(trace, h, L)
-        rec["L"] = L
-        rec["x"] = xs.x
-        rec["window"] = [xs.i_lo, xs.i_hi]
+        interval = xs.interval
+        rec.update(L=L, x=xs.x, window=[xs.i_lo, xs.i_hi])
+    rec["interval"] = None if interval.is_empty else [interval.lo, interval.hi]
     if scan_all:
-        probes = []
-        for m in range(trace.total_pairs + 1):
-            out = count_embeddings(trace.graph_at(m), h)
-            probes.append([m, out.count])
-        rec["probes"] = probes
+        steps = range(trace.total_pairs + 1)
+        rec["probes"] = [[m, out.count]
+                         for m, out in embedding_trajectory(trace, h, steps).items()]
     return rec
 
 
@@ -209,19 +201,18 @@ def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, An
 
 
 def _cmd_process(args: argparse.Namespace) -> dict[str, Any]:
-    h = _parse_host(args.g6)
+    parse_graph6(args.g6)  # a bad host fails here, before any worker starts
     seed = _need_seed(args)
-    threads = _thread_count(args)
     work = [(args.g6, seed, i, args.L, args.scan_all) for i in range(args.traces)]
-    records = _parallel_map(_process_one, work, threads)
+    records = _parallel_map(_process_one, work, _thread_count(args))
     for rec in records:
         print(dumps(rec))
     return {"h_g6": args.g6, "seed": seed, "traces": records}
 
 
 def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
-    hc = _parse_host(args.hc)
-    g = _parse_host(args.g)
+    hc = parse_graph6(args.hc)
+    g = parse_graph6(args.g)
     pi = _parse_perm(args.pi, hc.n)
     ctx = SwitchContext(hc, g, pi)
     pairs = None
@@ -246,7 +237,7 @@ def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_refine_t(args: argparse.Namespace) -> dict[str, Any]:
-    hc = _parse_host(args.hc)
+    hc = parse_graph6(args.hc)
     dc = classify_degrees(hc, args.c)
     if args.schedule:
         schedule = [float(tok) for tok in args.schedule.split(",")]
@@ -354,9 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--record", metavar="PATH",
                         help="append an experiment record as one JSON line")
     parser.add_argument("--threads", type=int, default=None,
-                        help=f"worker count (default: ${THREADS_ENV} or all cores)")
-    parser.add_argument("--json", action="store_true", default=True,
-                        help="JSON output (default; kept for interface stability)")
+                        help="worker count, at most the core count "
+                             f"(default: ${THREADS_ENV} or all cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream unlabelled graphs as graph6 lines")
@@ -381,13 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="Monte-Carlo unique-embedding probability")
     p.add_argument("--g6", required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=_positive_int, required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("process", help="random graph process traces against a host")
     p.add_argument("--g6", required=True)
-    p.add_argument("--traces", type=int, required=True)
+    p.add_argument("--traces", type=_positive_int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--scan-all", action="store_true")
@@ -456,7 +446,7 @@ def _record_run(path: str, args: argparse.Namespace, payload: Any,
         "started_at": started,
         "finished_at": finished,
         "payload": payload,
-        "version": VERSION,
+        "version": __version__,
     }
     with open(path, "a") as fh:
         fh.write(dumps(record) + "\n")

@@ -73,11 +73,6 @@ class CountOutcome:
     def is_exact(self) -> bool:
         return self.kind != "at_least"
 
-    @property
-    def floor(self) -> int:
-        """Exact count, or the early-exit threshold as a lower bound."""
-        return self.count
-
 
 def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> CountOutcome:
     """Count injective edge-preserving maps of ``g`` into ``h``.
@@ -206,19 +201,22 @@ def f_of_h(h: Graph, universe: str = ALL_SIZES, allow_large: bool = False) -> FV
                   denominator=denominator, f=Fraction(unique) / denominator)
 
 
-def f_max_exact(n: int, universe: str = ALL_SIZES) -> tuple[FValue, str]:
-    """Maximum f over one host per isomorphism class; returns (value, host g6).
-
-    Ties break toward the smallest canonical encoding.
-    """
+def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
+    """f of one host per isomorphism class of order ``n``, in census order."""
     if not 1 <= n <= F_MAX_EXACT_MAX_N:
         raise DomainError(f"exact f maximization supports 1..{F_MAX_EXACT_MAX_N}, got {n}")
-    best: FValue | None = None
-    for h in enumerate_unlabelled(n):
-        fv = f_of_h(h, universe)
-        if best is None or fv.f > best.f:
-            best = fv
-    assert best is not None
+    return [f_of_h(h, universe) for h in enumerate_unlabelled(n)]
+
+
+def f_max(table: Iterable[FValue]) -> FValue:
+    """The first maximum in census order, so ties break toward the smallest
+    canonical encoding."""
+    return max(table, key=lambda fv: fv.f)
+
+
+def f_max_exact(n: int, universe: str = ALL_SIZES) -> tuple[FValue, str]:
+    """Maximum f over one host per isomorphism class; returns (value, host g6)."""
+    best = f_max(f_table(n, universe))
     return best, emit_graph6(best.h).decode()
 
 
@@ -245,15 +243,21 @@ def clopper_pearson(successes: int, trials: int, alpha: float = 0.01) -> tuple[f
     return lo, hi
 
 
-def estimate_unique_prob(h: Graph, trials: int, seed: int) -> EstimateReport:
-    """Monte-Carlo estimate of Pr[G(n,1/2) has a unique embedding into h]."""
+def unique_trial(h: Graph, seed: int, index: int) -> bool:
+    """Trial ``index``: does G(n, 1/2) drawn from stream (seed, index) embed
+    into ``h`` in exactly one way?"""
+    return count_embeddings(gnp_half(h.n, derive_rng(seed, index)), h, early_exit_at=2).is_one
+
+
+def estimate_report(successes: int, trials: int, seed: int) -> EstimateReport:
+    """Point estimate and 99% Clopper-Pearson interval from trial outcomes."""
     if trials < 1:
         raise DomainError("trials must be at least 1")
-    successes = 0
-    for i in range(trials):
-        g = gnp_half(h.n, derive_rng(seed, i))
-        if count_embeddings(g, h, early_exit_at=2).is_one:
-            successes += 1
     lo, hi = clopper_pearson(successes, trials)
     return EstimateReport(estimate=successes / trials, trials=trials,
                           successes=successes, seed=seed, ci_low=lo, ci_high=hi)
+
+
+def estimate_unique_prob(h: Graph, trials: int, seed: int) -> EstimateReport:
+    """Monte-Carlo estimate of Pr[G(n,1/2) has a unique embedding into h]."""
+    return estimate_report(sum(unique_trial(h, seed, i) for i in range(trials)), trials, seed)

@@ -58,10 +58,13 @@ class UniquenessInterval:
 
 @dataclass(frozen=True)
 class XStatistic:
+    """``x`` steps of ``interval`` fall inside the window [i_lo, i_hi]."""
+
     L: float
     i_lo: int
     i_hi: int
     x: int
+    interval: UniquenessInterval
 
 
 def sample_trace(n: int, seed: int, index: int | None = None) -> ProcessTrace:
@@ -86,7 +89,7 @@ def embedding_trajectory(trace: ProcessTrace, h: Graph,
 def _category(trace: ProcessTrace, h: Graph, m: int) -> int:
     """0, 1, or 2 meaning zero / one / at least two embeddings at step m."""
     out = count_embeddings(trace.graph_at(m), h, early_exit_at=2)
-    return min(out.floor, 2)
+    return min(out.count, 2)
 
 
 def uniqueness_interval(trace: ProcessTrace, h: Graph) -> UniquenessInterval:
@@ -155,7 +158,7 @@ def x_statistic(trace: ProcessTrace, h: Graph, L: float) -> XStatistic:
         x = 0
     else:
         x = max(0, min(interval.hi, i_hi) - max(interval.lo, i_lo) + 1)  # type: ignore[arg-type]
-    return XStatistic(L=L, i_lo=i_lo, i_hi=i_hi, x=x)
+    return XStatistic(L=L, i_lo=i_lo, i_hi=i_hi, x=x, interval=interval)
 
 
 def supergraph_completion_prob(e_h: int, total: int, m_star: int, m2: int) -> Fraction:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .graphs import Graph, VertexMap
+from .graphs import Graph, VertexMap, _bits
 
 Pair = tuple[int, int]
 
@@ -176,12 +176,12 @@ def refine_t(hc: Graph, b_prime: Iterable[int],
                 pick = v
                 break
         if pick < 0:
-            return RefinementResult(t=_mask_vertices(t_mask), steps=tuple(steps),
+            return RefinementResult(t=tuple(_bits(t_mask)), steps=tuple(steps),
                                     depth=i, final_threshold=thr, depth_exceeded=False)
         t_mask &= hc.adj[pick]
         steps.append((pick, thr))
         assert t_mask.bit_count() < t_size
-    return RefinementResult(t=_mask_vertices(t_mask), steps=tuple(steps),
+    return RefinementResult(t=tuple(_bits(t_mask)), steps=tuple(steps),
                             depth=len(schedule), final_threshold=None,
                             depth_exceeded=True)
 
@@ -190,17 +190,6 @@ def default_schedule(b_prime_size: int, c: float) -> list[float]:
     """Geometric thresholds |B'|/2, |B'|/4, ... with depth cap 4c+1."""
     depth = int(4 * c) + 1
     return [b_prime_size / 2 ** (i + 1) for i in range(depth)]
-
-
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    v = 0
-    while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
-    return tuple(out)
 
 
 def edge_influence_budget(hc: Graph, pi: VertexMap,

@@ -1,0 +1,43 @@
+"""The package names the benchmark's traced run wraps or calls.
+
+Only ``perfbench/tracing.py`` is read from the benchmark, so a change that
+drops or renames one of these names fails here, not in the benchmark.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from uniquesub import canon, census, cli
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _sites() -> list[tuple[str, str, str, object]]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SITES
+
+
+def test_every_traced_site_resolves():
+    sites = _sites()
+    assert sites
+    for module, attr, _, _ in sites:
+        assert callable(getattr(importlib.import_module(f"uniquesub.{module}"), attr)), \
+            f"uniquesub.{module}.{attr}"
+
+
+def test_pool_work_units_keep_their_signatures():
+    assert cli._estimate_trial(("C~", 1, 0)) in (True, False)
+    record = cli._process_one(("C~", 1, 0, 0.5, False))
+    assert record["trace_index"] == 0 and "x" in record
+    assert cli.dumps(record).startswith("{")
+
+
+def test_caches_the_traced_run_clears():
+    assert callable(canon.canonicalize.cache_clear)
+    assert callable(canon.canonicalize.cache_info)
+    assert callable(canon.canonicalize.__wrapped__)
+    assert callable(census._census.cache_clear)

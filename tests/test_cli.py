@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from uniquesub import cli, embedding, process
 from uniquesub.cli import ingest_corpus, main
 from uniquesub.errors import Graph6Error
 
@@ -117,6 +118,7 @@ class TestStochasticCommands:
         assert rows[0]["payload"] == rows[1]["payload"]
         assert rows[0]["seed"] == 123
         assert rows[0]["version"]
+        assert rows[0]["params"] == {"g6": "Bw", "trials": 25, "seed": 123}
 
     def test_record_captures_generated_seed(self, capsys, tmp_path):
         record = tmp_path / "auto.jsonl"
@@ -124,6 +126,77 @@ class TestStochasticCommands:
                             "--trials", "5")
         row = json.loads(record.read_text())
         assert row["seed"] == json.loads(out)["seed"]
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Wrap ``name`` in each module with one shared call counter."""
+    calls = []
+    for mod in modules:
+        def counted(*args, _fn=getattr(mod, name), **kwargs):
+            calls.append(name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestOnePathPerCommand:
+    def test_f_exact_guard_runs_before_any_f_value(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
+        code, _, err = run_cli(capsys, "f-exact", "--n", "7")
+        assert code == 2 and json.loads(err)["error"]["type"] == "DomainError"
+        assert calls == []
+
+    def test_f_exact_computes_each_f_value_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
+        code, out, _ = run_cli(capsys, "f-exact", "--n", "4")
+        assert code == 0 and len(json.loads(out)["table"]) == 11
+        assert len(calls) == 11
+
+    def test_process_locates_each_interval_once(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "uniqueness_interval", cli, process)
+        code, _, _ = run_cli(capsys, "--threads", "1", "process", "--g6", "D?{",
+                             "--traces", "3", "--seed", "7", "--L", "1.0")
+        assert code == 0 and len(calls) == 3
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ("estimate", "--g6", "C~", "--trials", "0", "--seed", "1"),
+        ("process", "--g6", "C~", "--traces", "-3", "--seed", "1"),
+    ], ids=["trials-0", "traces-minus-3"])
+    def test_counts_must_be_positive(self, capsys, threads, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["--threads", threads, *argv])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "positive integer" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cores, trials, workers", [(3, 64, 3), (64, 20, 5)])
+    def test_pool_is_capped_by_cores_and_items(self, capsys, monkeypatch, cores, trials,
+                                               workers):
+        """``--threads 64`` gets no more workers than cores, nor than a quarter
+        of the items; the recorder maps in this process, so no pool starts."""
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        argv = ("estimate", "--g6", "D?{", "--trials", str(trials), "--seed", "5")
+        _, serial, _ = run_cli(capsys, "--threads", "1", *argv)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        _, pooled, _ = run_cli(capsys, "--threads", "64", *argv)
+        assert created == [workers]
+        assert pooled == serial
 
 
 class TestSwitchCommands:

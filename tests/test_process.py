@@ -129,7 +129,8 @@ class TestXStatistic:
             h = gnp_half(5, derive_rng(78, t))
             xs = x_statistic(tr, h, 1000.0)
             assert (xs.i_lo, xs.i_hi) == (0, 10)
-            assert xs.x == uniqueness_interval(tr, h).length()
+            assert xs.interval == uniqueness_interval(tr, h)
+            assert xs.x == xs.interval.length()
 
     def test_two_computations_agree(self):
         for t in range(50):
