@@ -13,7 +13,7 @@ from .embedding import (ALL_SIZES, SPANNING_ONLY, CountOutcome, EstimateReport, 
 from .errors import DomainError, Graph6Error, ResourceLimitError, UniquesubError
 from .graphs import (Graph, VertexMap, complement, complete_graph, cycle_graph,
                      empty_graph, emit_graph6, from_edges, induced_subgraph,
-                     parse_graph6, path_graph, relabel)
+                     ingest_corpus, parse_graph6, path_graph, relabel)
 from .process import (ProcessTrace, UniquenessInterval, XStatistic, embedding_trajectory,
                       sample_trace, supergraph_completion_prob, uniqueness_interval,
                       x_statistic)

@@ -1,10 +1,11 @@
 """Single command-line harness exposing every module.
 
-Every invocation writes JSON (or graph6 lines for ``enumerate``) to stdout
-and exits 0; usage and precondition problems exit 2 with a structured error
-object on stderr.  ``--record`` appends one JSON line per run with the full
-parameter set, seed, timestamps and payload; replaying a recorded stochastic
-command with its seed reproduces the payload byte for byte.
+Each subcommand returns its payload and ``main`` alone writes it: JSON on
+stdout (graph6 lines for ``enumerate``) and exit 0.  Usage and precondition
+problems, and payloads holding NaN or infinities, exit 2 with a structured
+error object on stderr.  ``--record`` appends one JSON line per run with the
+full parameter set, seed, timestamps and payload; replaying a recorded
+stochastic command with its seed reproduces the payload byte for byte.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import mpmath
 
@@ -25,18 +26,15 @@ from . import bounds as bounds_mod
 from .census import MAX_ENUMERATION_N, enumerate_unlabelled, nontrivial_aut_fraction, polya_report
 from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h, f_table,
                         unique_trial)
-from .errors import Graph6Error, UniquesubError
-from .graphs import Graph, VertexMap, emit_graph6, parse_graph6
-from .process import (ProcessTrace, embedding_trajectory, sample_trace, uniqueness_interval,
-                      x_statistic)
+from .errors import UniquesubError
+from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
+from .process import embedding_trajectory, sample_trace, uniqueness_interval, x_statistic
 from .switching import (SwitchContext, apply_switch, classify_degrees, default_schedule,
                         find_switch, is_embedding, refine_t, required_pairs,
                         switch_probability)
 # Not called here; the benchmark's traced run (perfbench/tracing.py) wraps these names.
 from .embedding import count_embeddings, f_max_exact  # noqa: F401
 from .sampling import derive_rng, gnp_half  # noqa: F401
-
-THREADS_ENV = "UNIQUESUB_THREADS"
 
 
 def jsonable(value: Any) -> Any:
@@ -52,24 +50,19 @@ def jsonable(value: Any) -> Any:
 
 
 def dumps(payload: Any) -> str:
-    return json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":"))
+    return json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _universe(args: argparse.Namespace) -> str:
     return SPANNING_ONLY if args.spanning else ALL_SIZES
 
 
-def _thread_count(args: argparse.Namespace) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else os.cpu_count() or 1
-
-
-def _parallel_map(fn: Callable[[Any], Any], items: Sequence[Any], threads: int) -> list[Any]:
-    """``[fn(x) for x in items]``, on at most ``threads`` workers, no more than
-    there are cores, and each given at least four items."""
-    workers = min(threads, os.cpu_count() or 1, len(items) // 4)
+def _parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
+                  threads: int | None) -> list[Any]:
+    """``[fn(x) for x in items]``, on at most ``threads`` workers (default: all
+    cores), no more than there are cores, and each given at least four items."""
+    cores = os.cpu_count() or 1
+    workers = min(cores if threads is None else threads, cores, len(items) // 4)
     if workers <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 4))
@@ -87,14 +80,6 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _parse_perm(text: str, n: int) -> VertexMap:
-    image = tuple(int(tok) for tok in text.split(","))
-    return VertexMap(n, n, image)
-
-
-# --- subcommand payloads ------------------------------------------------------
-
-
 def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
     lines = [emit_graph6(g).decode() for g in enumerate_unlabelled(args.n)]
     payload = {"n": args.n, "count": len(lines), "graphs": lines}
@@ -102,17 +87,20 @@ def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         payload["out"] = args.out
-        print(dumps({"n": args.n, "count": len(lines), "out": args.out}))
-    else:
-        for line in lines:
-            print(line)
     return payload
+
+
+def _render_enumerate(payload: dict[str, Any]) -> str:
+    """The graph6 lines, or with ``--out`` a summary of the file written."""
+    if "out" in payload:
+        return dumps({k: payload[k] for k in ("n", "count", "out")})
+    return "\n".join(payload["graphs"])
 
 
 def _cmd_polya(args: argparse.Namespace) -> dict[str, Any]:
     rep = polya_report(args.n)
     frac = nontrivial_aut_fraction(args.n)
-    payload = {
+    return {
         "n": rep.n,
         "unlabelled_count": rep.unlabelled_count,
         "polya_estimate": rep.polya_estimate,
@@ -120,8 +108,6 @@ def _cmd_polya(args: argparse.Namespace) -> dict[str, Any]:
         "ratio_exact": rep.ratio,
         "nontrivial_aut_fraction": float(frac),
     }
-    print(dumps(payload))
-    return payload
 
 
 def _f_entry(fv) -> dict[str, Any]:
@@ -139,17 +125,13 @@ def _cmd_f_exact(args: argparse.Namespace) -> dict[str, Any]:
     universe = _universe(args)
     table = f_table(args.n, universe)
     best = _f_entry(f_max(table))
-    payload = {"n": args.n, "universe": universe, "table": [_f_entry(fv) for fv in table],
-               "max": best, "argmax_g6": best["h_g6"]}
-    print(dumps(payload))
-    return payload
+    return {"n": args.n, "universe": universe, "table": [_f_entry(fv) for fv in table],
+            "max": best, "argmax_g6": best["h_g6"]}
 
 
 def _cmd_f_of_h(args: argparse.Namespace) -> dict[str, Any]:
     h = parse_graph6(args.g6)
-    payload = _f_entry(f_of_h(h, _universe(args), allow_large=args.allow_large))
-    print(dumps(payload))
-    return payload
+    return _f_entry(f_of_h(h, _universe(args), allow_large=args.allow_large))
 
 
 def _estimate_trial(work: tuple[str, int, int]) -> bool:
@@ -161,9 +143,9 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
     parse_graph6(args.g6)  # a bad host fails here, before any worker starts
     seed = _need_seed(args)
     work = [(args.g6, seed, i) for i in range(args.trials)]
-    wins = _parallel_map(_estimate_trial, work, _thread_count(args))
+    wins = _parallel_map(_estimate_trial, work, args.threads)
     rep = estimate_report(sum(wins), args.trials, seed)
-    payload = {
+    return {
         "h_g6": args.g6,
         "universe": "labelled-gnp-half",
         "count": rep.successes,
@@ -172,13 +154,13 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
         "seed": rep.seed,
         "ci": [rep.ci_low, rep.ci_high],
     }
-    print(dumps(payload))
-    return payload
 
 
-def _trace_record(trace: ProcessTrace, h: Graph, index: int, L: float | None,
-                  scan_all: bool) -> dict[str, Any]:
-    rec: dict[str, Any] = {"trace_index": index, "seed": trace.seed}
+def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, Any]:
+    h_g6, seed, index, L, scan_all = work
+    h = parse_graph6(h_g6)
+    trace = sample_trace(h.n, seed, index)
+    rec: dict[str, Any] = {"trace_index": index, "seed": seed}
     if L is None:
         interval = uniqueness_interval(trace, h)
     else:
@@ -193,27 +175,22 @@ def _trace_record(trace: ProcessTrace, h: Graph, index: int, L: float | None,
     return rec
 
 
-def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, Any]:
-    h_g6, seed, index, L, scan_all = work
-    h = parse_graph6(h_g6)
-    trace = sample_trace(h.n, seed, index)
-    return _trace_record(trace, h, index, L, scan_all)
-
-
 def _cmd_process(args: argparse.Namespace) -> dict[str, Any]:
     parse_graph6(args.g6)  # a bad host fails here, before any worker starts
     seed = _need_seed(args)
     work = [(args.g6, seed, i, args.L, args.scan_all) for i in range(args.traces)]
-    records = _parallel_map(_process_one, work, _thread_count(args))
-    for rec in records:
-        print(dumps(rec))
+    records = _parallel_map(_process_one, work, args.threads)
     return {"h_g6": args.g6, "seed": seed, "traces": records}
+
+
+def _render_process(payload: dict[str, Any]) -> str:
+    return "\n".join(dumps(rec) for rec in payload["traces"])
 
 
 def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
     hc = parse_graph6(args.hc)
     g = parse_graph6(args.g)
-    pi = _parse_perm(args.pi, hc.n)
+    pi = VertexMap(hc.n, hc.n, tuple(int(tok) for tok in args.pi.split(",")))
     ctx = SwitchContext(hc, g, pi)
     pairs = None
     if args.pairs:
@@ -232,7 +209,6 @@ def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
         payload["probability"] = switch_probability(hc, pi, *found)
         if payload["pi_is_embedding"]:
             payload["switched_pi"] = list(apply_switch(ctx, *found).image)
-    print(dumps(payload))
     return payload
 
 
@@ -244,7 +220,7 @@ def _cmd_refine_t(args: argparse.Namespace) -> dict[str, Any]:
     else:
         schedule = default_schedule(len(dc.b_prime), args.c)
     result = refine_t(hc, dc.b_prime, schedule)
-    payload = {
+    return {
         "hc_g6": args.hc,
         "c": args.c,
         "a": list(dc.a),
@@ -256,69 +232,55 @@ def _cmd_refine_t(args: argparse.Namespace) -> dict[str, Any]:
         "final_threshold": result.final_threshold,
         "depth_exceeded": result.depth_exceeded,
     }
-    print(dumps(payload))
+
+
+def _report_payload(report: bounds_mod.BoundReport) -> dict[str, Any]:
+    """Payload of the bounds that return a ``BoundReport``."""
+    return {"name": report.name, "inputs": report.inputs, "exact": report.exact_value,
+            "bound": report.bound_value, "slack": report.slack}
+
+
+def _cmd_binom_point_mass(args: argparse.Namespace) -> dict[str, Any]:
+    return _report_payload(bounds_mod.binomial_point_mass_max(args.n_pairs))
+
+
+def _cmd_chernoff_l(args: argparse.Namespace) -> dict[str, Any]:
+    level, tail = bounds_mod.chernoff_l(args.delta, args.n)
+    return {"name": "chernoff-l", "inputs": {"delta": args.delta, "n": args.n},
+            "L": level, "exact_tail": tail, "bound": float(args.delta) / 4}
+
+
+def _cmd_azuma(args: argparse.Namespace) -> dict[str, Any]:
+    influences = [float(tok) for tok in args.b.split(",")]
+    return {"name": "azuma", "inputs": {"t": args.t, "b": influences},
+            "bound": bounds_mod.azuma_tail(args.t, influences)}
+
+
+def _cmd_expected_embeddings(args: argparse.Namespace) -> dict[str, Any]:
+    value = bounds_mod.expected_embeddings(args.n, args.e_h)
+    return {"name": "expected-embeddings", "inputs": {"n": args.n, "e_h": args.e_h},
+            "exact": value, "bound": float(value)}
+
+
+def _cmd_density_decay(args: argparse.Namespace) -> dict[str, Any]:
+    loose, sharp = bounds_mod.density_decay_bound(args.e_h, args.n_pairs, args.steps,
+                                                  args.m_star)
+    return {"name": "density-decay",
+            "inputs": {"e_h": args.e_h, "n_pairs": args.n_pairs, "steps": args.steps,
+                       "m_star": args.m_star},
+            "bound": float(loose), "loose": loose, "sharp": sharp}
+
+
+def _cmd_dense_case(args: argparse.Namespace) -> dict[str, Any]:
+    payload = _report_payload(bounds_mod.dense_case_inequality(args.delta, args.c, args.n))
+    payload["holds"] = payload["slack"] > 0
     return payload
 
 
-def _bound_payload(report: bounds_mod.BoundReport) -> dict[str, Any]:
-    return {
-        "name": report.name,
-        "inputs": report.inputs,
-        "exact": report.exact_value,
-        "bound": report.bound_value,
-        "slack": report.slack,
-    }
-
-
-def _cmd_bounds(args: argparse.Namespace) -> dict[str, Any]:
-    name = args.bound_name
-    if name == "binom-point-mass":
-        payload = _bound_payload(bounds_mod.binomial_point_mass_max(args.n_pairs))
-    elif name == "chernoff-l":
-        level, tail = bounds_mod.chernoff_l(args.delta, args.n)
-        payload = {"name": name, "inputs": {"delta": args.delta, "n": args.n},
-                   "L": level, "exact_tail": tail, "bound": float(args.delta) / 4}
-    elif name == "azuma":
-        influences = [float(tok) for tok in args.b.split(",")]
-        payload = {"name": name, "inputs": {"t": args.t, "b": influences},
-                   "bound": bounds_mod.azuma_tail(args.t, influences)}
-    elif name == "expected-embeddings":
-        value = bounds_mod.expected_embeddings(args.n, args.e_h)
-        payload = {"name": name, "inputs": {"n": args.n, "e_h": args.e_h},
-                   "exact": value, "bound": float(value)}
-    elif name == "density-decay":
-        loose, sharp = bounds_mod.density_decay_bound(args.e_h, args.n_pairs,
-                                                      args.steps, args.m_star)
-        payload = {"name": name,
-                   "inputs": {"e_h": args.e_h, "n_pairs": args.n_pairs,
-                              "steps": args.steps, "m_star": args.m_star},
-                   "bound": float(loose), "loose": loose, "sharp": sharp}
-    elif name == "dense-case":
-        payload = _bound_payload(bounds_mod.dense_case_inequality(args.delta, args.c, args.n))
-        payload["holds"] = payload["slack"] > 0
-    elif name == "union-budget":
-        value = bounds_mod.union_budget(args.n, args.log_base)
-        payload = {"name": name, "inputs": {"n": args.n, "log_base": args.log_base},
-                   "bound": float(value), "exact": value if args.log_base is None else None}
-    else:  # pragma: no cover - argparse restricts choices
-        raise UniquesubError(f"unknown bound {name}")
-    print(dumps(payload))
-    return payload
-
-
-def ingest_corpus(path: str, skip_bad: bool = False) -> Iterator[tuple[int, Graph | None, str | None]]:
-    """Lazily parse a graph6 file; yields (line number, graph, error message)."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, parse_graph6(line), None
-            except Graph6Error as exc:
-                if not skip_bad:
-                    raise Graph6Error(f"line {lineno}: {exc}", exc.offset) from exc
-                yield lineno, None, str(exc)
+def _cmd_union_budget(args: argparse.Namespace) -> dict[str, Any]:
+    value = bounds_mod.union_budget(args.n, args.log_base)
+    return {"name": "union-budget", "inputs": {"n": args.n, "log_base": args.log_base},
+            "bound": float(value), "exact": value if args.log_base is None else None}
 
 
 def _cmd_ingest_check(args: argparse.Namespace) -> dict[str, Any]:
@@ -329,13 +291,7 @@ def _cmd_ingest_check(args: argparse.Namespace) -> dict[str, Any]:
             graphs += 1
         else:
             bad.append([lineno, err])
-    payload = {"path": args.path, "graphs": graphs, "bad_lines": bad,
-               "skip_bad": args.skip_bad}
-    print(dumps(payload))
-    return payload
-
-
-# --- harness -----------------------------------------------------------------
+    return {"path": args.path, "graphs": graphs, "bad_lines": bad, "skip_bad": args.skip_bad}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--record", metavar="PATH",
                         help="append an experiment record as one JSON line")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker count, at most the core count "
-                             f"(default: ${THREADS_ENV} or all cores)")
+                        help="worker count, at most the core count (default: all cores)")
+    parser.set_defaults(render=dumps)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="stream unlabelled graphs as graph6 lines")
     p.add_argument("--n", type=int, required=True, metavar=f"1..{MAX_ENUMERATION_N}")
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=_cmd_enumerate)
+    p.set_defaults(fn=_cmd_enumerate, render=_render_enumerate)
 
     p = sub.add_parser("polya", help="unlabelled count against the 2^N/n! estimate")
     p.add_argument("--n", type=int, required=True)
@@ -381,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--scan-all", action="store_true")
-    p.set_defaults(fn=_cmd_process)
+    p.set_defaults(fn=_cmd_process, render=_render_process)
 
     p = sub.add_parser("switch", help="find and verify a vertex switch")
     p.add_argument("--hc", required=True, metavar="G6")
@@ -401,28 +357,34 @@ def build_parser() -> argparse.ArgumentParser:
     bsub = p.add_subparsers(dest="bound_name", required=True)
     b = bsub.add_parser("binom-point-mass")
     b.add_argument("--n-pairs", type=int, required=True)
+    b.set_defaults(fn=_cmd_binom_point_mass)
     b = bsub.add_parser("chernoff-l")
     b.add_argument("--delta", type=float, required=True)
     b.add_argument("--n", type=int, required=True)
+    b.set_defaults(fn=_cmd_chernoff_l)
     b = bsub.add_parser("azuma")
     b.add_argument("--t", type=float, required=True)
     b.add_argument("--b", required=True, metavar="B1,B2,...")
+    b.set_defaults(fn=_cmd_azuma)
     b = bsub.add_parser("expected-embeddings")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--e-h", type=int, required=True)
+    b.set_defaults(fn=_cmd_expected_embeddings)
     b = bsub.add_parser("density-decay")
     b.add_argument("--e-h", type=int, required=True)
     b.add_argument("--n-pairs", type=int, required=True)
     b.add_argument("--steps", type=int, required=True)
     b.add_argument("--m-star", type=int, default=0)
+    b.set_defaults(fn=_cmd_density_decay)
     b = bsub.add_parser("dense-case")
     b.add_argument("--delta", type=float, required=True)
     b.add_argument("--c", type=float, required=True)
     b.add_argument("--n", type=int, required=True)
+    b.set_defaults(fn=_cmd_dense_case)
     b = bsub.add_parser("union-budget")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--log-base", type=float, default=None)
-    p.set_defaults(fn=_cmd_bounds)
+    b.set_defaults(fn=_cmd_union_budget)
 
     p = sub.add_parser("ingest-check", help="validate a graph6 corpus file")
     p.add_argument("path")
@@ -432,34 +394,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _record_run(path: str, args: argparse.Namespace, payload: Any,
-                started: float, finished: float) -> None:
+def _record_run(args: argparse.Namespace, payload: dict[str, Any], started: float) -> None:
+    """Append the run to ``--record``; a generated seed is read from the payload."""
     params = {k: v for k, v in vars(args).items()
-              if k not in {"fn", "record", "command"} and v is not None}
-    seed = params.get("seed")
-    if seed is None and isinstance(payload, dict):
-        seed = payload.get("seed")
+              if k not in {"fn", "render", "record", "command"} and v is not None}
     record = {
         "command": args.command,
         "params": params,
-        "seed": seed,
+        "seed": payload.get("seed"),
         "started_at": started,
-        "finished_at": finished,
+        "finished_at": time.time(),
         "payload": payload,
         "version": __version__,
     }
-    with open(path, "a") as fh:
+    with open(args.record, "a") as fh:
         fh.write(dumps(record) + "\n")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.time()
     try:
         payload = args.fn(args)
+        print(args.render(payload))
         if args.record:
-            _record_run(args.record, args, payload, started, time.time())
+            _record_run(args, payload, started)
     except (UniquesubError, OSError, ValueError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(dumps(err), file=sys.stderr)

@@ -25,6 +25,7 @@ SPANNING_ONLY = "spanning"
 
 F_ALL_SIZES_MAX_N = 7
 F_MAX_EXACT_MAX_N = 6
+CI_ALPHA = 0.01  # Monte-Carlo estimates carry 99% Clopper-Pearson intervals
 
 
 @dataclass(frozen=True)
@@ -230,16 +231,16 @@ class EstimateReport:
     ci_high: float
 
 
-def clopper_pearson(successes: int, trials: int, alpha: float = 0.01) -> tuple[float, float]:
-    """Two-sided exact binomial confidence interval."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided exact binomial confidence interval at level 1 - CI_ALPHA."""
     if successes == 0:
         lo = 0.0
     else:
-        lo = float(_beta.ppf(alpha / 2, successes, trials - successes + 1))
+        lo = float(_beta.ppf(CI_ALPHA / 2, successes, trials - successes + 1))
     if successes == trials:
         hi = 1.0
     else:
-        hi = float(_beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
+        hi = float(_beta.ppf(1 - CI_ALPHA / 2, successes + 1, trials - successes))
     return lo, hi
 
 

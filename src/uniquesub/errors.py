@@ -11,10 +11,12 @@ class DomainError(UniquesubError, ValueError):
 
 
 class Graph6Error(UniquesubError, ValueError):
-    """Malformed graph6 input; ``offset`` is the offending byte position."""
+    """Malformed graph6 input; ``offset`` is the offending byte position and
+    ``reason`` the message without it."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, reason: str, offset: int):
+        super().__init__(f"{reason} (byte offset {offset})")
+        self.reason = reason
         self.offset = offset
 
 

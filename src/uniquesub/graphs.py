@@ -267,3 +267,20 @@ def emit_graph6(g: Graph) -> bytes:
     nbytes = (npairs + 5) // 6
     body = bytes(((bits >> (6 * (nbytes - 1 - k))) & 63) + 63 for k in range(nbytes))
     return head + body
+
+
+def ingest_corpus(path: str, skip_bad: bool = False) -> Iterator[tuple[int, Graph | None, str | None]]:
+    """Lazily parse a graph6 file, one graph per non-blank line; yields
+    (line number, graph, None), or (line number, None, error message) for a
+    bad line under ``skip_bad``, which otherwise raises on the first one."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                yield lineno, parse_graph6(line), None
+            except Graph6Error as exc:
+                if not skip_bad:
+                    raise Graph6Error(f"line {lineno}: {exc.reason}", exc.offset) from exc
+                yield lineno, None, str(exc)

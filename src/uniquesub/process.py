@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, comb, floor
+from math import ceil, comb, floor, isfinite
 from typing import Iterable, Mapping
 
 from .embedding import CountOutcome, count_embeddings
@@ -76,13 +76,11 @@ def sample_trace(n: int, seed: int, index: int | None = None) -> ProcessTrace:
 
 
 def embedding_trajectory(trace: ProcessTrace, h: Graph,
-                         probe_set: Iterable[int],
-                         early_exit_at: int | None = None,
-                         ) -> Mapping[int, CountOutcome]:
-    """Embedding counts of G_m into ``h`` at each probed m."""
+                         probe_set: Iterable[int]) -> Mapping[int, CountOutcome]:
+    """Exact embedding counts of G_m into ``h`` at each probed m."""
     if h.n != trace.n:
         raise DomainError("host order must match the trace order")
-    return {m: count_embeddings(trace.graph_at(m), h, early_exit_at)
+    return {m: count_embeddings(trace.graph_at(m), h)
             for m in sorted(set(probe_set))}
 
 
@@ -148,6 +146,8 @@ def x_statistic(trace: ProcessTrace, h: Graph, L: float) -> XStatistic:
     """Size of the uniqueness interval inside [N/2 - Ln, N/2 + Ln], clipped."""
     if L <= 0:
         raise DomainError("interval half-width coefficient must be positive")
+    if not isfinite(L):
+        raise DomainError("interval half-width coefficient must be finite")
     total = trace.total_pairs
     center = Fraction(total, 2)
     radius = Fraction(L) * trace.n

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -46,22 +47,8 @@ def required_pairs(hc: Graph, pi: VertexMap, u: int, v: int) -> frozenset[Pair]:
     skip = (1 << a) | (1 << b)
     only_a = hc.adj[a] & ~hc.adj[b] & ~skip
     only_b = hc.adj[b] & ~hc.adj[a] & ~skip
-    pairs: set[Pair] = set()
-    w = 0
-    rest = only_a
-    while rest:
-        if rest & 1:
-            pairs.add(_norm(v, pi.apply(w)))
-        rest >>= 1
-        w += 1
-    w = 0
-    rest = only_b
-    while rest:
-        if rest & 1:
-            pairs.add(_norm(u, pi.apply(w)))
-        rest >>= 1
-        w += 1
-    return frozenset(pairs)
+    return frozenset([_norm(v, pi.apply(w)) for w in _bits(only_a)]
+                     + [_norm(u, pi.apply(w)) for w in _bits(only_b)])
 
 
 def is_pi_switch(ctx: SwitchContext, u: int, v: int) -> bool:
@@ -124,6 +111,8 @@ def classify_degrees(hc: Graph, c: float) -> DegreeClassification:
     subset of the low-degree side (ascending vertex order)."""
     if c < 0:
         raise DomainError("degree constant must be non-negative")
+    if not isfinite(c):
+        raise DomainError("degree constant must be finite")
     a = tuple(v for v in range(hc.n) if hc.degree(v) >= 4 * c)
     b = tuple(v for v in range(hc.n) if hc.degree(v) < 4 * c)
     chosen_mask = 0
@@ -188,6 +177,8 @@ def refine_t(hc: Graph, b_prime: Iterable[int],
 
 def default_schedule(b_prime_size: int, c: float) -> list[float]:
     """Geometric thresholds |B'|/2, |B'|/4, ... with depth cap 4c+1."""
+    if not isfinite(c):
+        raise DomainError("degree constant must be finite")
     depth = int(4 * c) + 1
     return [b_prime_size / 2 ** (i + 1) for i in range(depth)]
 

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from uniquesub import cli, embedding, process
-from uniquesub.cli import ingest_corpus, main
+from uniquesub import cli, embedding, ingest_corpus, process
+from uniquesub.cli import main
 from uniquesub.errors import Graph6Error
 
 
@@ -170,14 +170,13 @@ class TestOnePathPerCommand:
         assert exc.value.code == 2
         assert "positive integer" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("cores, trials, workers", [(3, 64, 3), (64, 20, 5)])
-    def test_pool_is_capped_by_cores_and_items(self, capsys, monkeypatch, cores, trials,
-                                               workers):
-        """``--threads 64`` gets no more workers than cores, nor than a quarter
-        of the items; the recorder maps in this process, so no pool starts."""
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker count of each pool the CLI asks for; the stand-in maps
+        in this process, so no pool starts."""
         created = []
 
-        class SerialPool:
+        class RecordingPool:
             def __init__(self, max_workers):
                 created.append(max_workers)
 
@@ -190,13 +189,25 @@ class TestOnePathPerCommand:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return created
+
+    @pytest.mark.parametrize("cores, trials, workers", [(3, 64, 3), (64, 20, 5)])
+    def test_pool_is_capped_by_cores_and_items(self, capsys, monkeypatch, pools, cores,
+                                               trials, workers):
+        """``--threads 64`` gets no more workers than cores, nor than a quarter
+        of the items."""
         argv = ("estimate", "--g6", "D?{", "--trials", str(trials), "--seed", "5")
         _, serial, _ = run_cli(capsys, "--threads", "1", *argv)
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
         _, pooled, _ = run_cli(capsys, "--threads", "64", *argv)
-        assert created == [workers]
+        assert pools == [workers]
         assert pooled == serial
+
+    def test_pool_defaults_to_all_cores(self, capsys, monkeypatch, pools):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        code, _, _ = run_cli(capsys, "estimate", "--g6", "D?{", "--trials", "64", "--seed", "5")
+        assert code == 0 and pools == [3]
 
 
 class TestSwitchCommands:
@@ -256,7 +267,9 @@ class TestIngest:
         corpus.write_text("Bw\nB\nBw\n")
         code, _, err = run_cli(capsys, "ingest-check", str(corpus))
         assert code == 2
-        assert "line 2" in json.loads(err)["error"]["message"]
+        message = json.loads(err)["error"]["message"]
+        assert message == "line 2: body needs 1 bytes, found 0 (byte offset 1)"
+        assert message.count("(byte offset") == 1
 
     def test_bad_line_skipped(self, capsys, tmp_path):
         corpus = tmp_path / "bad.g6"
@@ -265,7 +278,7 @@ class TestIngest:
         payload = json.loads(out)
         assert code == 0
         assert payload["graphs"] == 2
-        assert payload["bad_lines"][0][0] == 2
+        assert payload["bad_lines"] == [[2, "body needs 1 bytes, found 0 (byte offset 1)"]]
 
     def test_ingest_corpus_api(self, tmp_path):
         corpus = tmp_path / "ok.g6"
@@ -275,6 +288,33 @@ class TestIngest:
         with pytest.raises(Graph6Error):
             corpus.write_text("@\nZZZZ~~\n")
             list(ingest_corpus(str(corpus)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("process", "--g6", "Gyh|^k", "--traces", "1", "--seed", "1", "--L", "inf"),
+    ("--threads", "2", "process", "--g6", "Gyh|^k", "--traces", "16", "--seed", "1",
+     "--L", "inf"),
+    ("process", "--g6", "D?{", "--traces", "1", "--seed", "1", "--L", "nan"),
+    ("refine-t", "--hc", "C`", "--c", "inf"),
+    ("refine-t", "--hc", "C`", "--c", "nan"),
+], ids=["L-inf", "L-inf-pool", "L-nan", "c-inf", "c-nan"])
+def test_non_finite_input_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DomainError" and "finite" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "azuma", "--t", "nan", "--b", "1"),
+    ("bounds", "union-budget", "--n", "3", "--log-base", "nan"),
+    ("refine-t", "--hc", "C`", "--c", "1", "--schedule", "inf"),
+], ids=["azuma-nan", "union-budget-nan", "schedule-inf"])
+def test_non_json_payload_exits_two_and_prints_nothing(capsys, tmp_path, argv):
+    record = tmp_path / "runs.jsonl"
+    code, out, err = run_cli(capsys, "--record", str(record), *argv)
+    assert code == 2 and out == "" and not record.exists()
+    assert json.loads(err)["error"]["type"] == "ValueError"
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -146,6 +146,11 @@ class TestXStatistic:
         with pytest.raises(DomainError):
             x_statistic(sample_trace(4, 1), complete_graph(4), 0.0)
 
+    @pytest.mark.parametrize("L", [float("inf"), float("nan")])
+    def test_rejects_non_finite_width(self, L):
+        with pytest.raises(DomainError, match="finite"):
+            x_statistic(sample_trace(4, 1), complete_graph(4), L)
+
 
 class TestCompletionProbability:
     def test_degenerate_cases(self):

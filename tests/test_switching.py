@@ -230,6 +230,13 @@ class TestClassifyDegrees:
             assert len(dc.a) <= n / 2
             assert len(dc.b_prime) >= n / (2 * (4 * c + 1))
 
+    @pytest.mark.parametrize("c", [float("inf"), float("nan")])
+    def test_rejects_non_finite_constant(self, c):
+        with pytest.raises(DomainError, match="finite"):
+            classify_degrees(empty_graph(4), c)
+        with pytest.raises(DomainError, match="finite"):
+            default_schedule(4, c)
+
     def test_degree_sum_bound(self):
         rng = derive_rng(321, None)
         for trial in range(300):
