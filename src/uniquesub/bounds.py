@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, isfinite
 from typing import Any, Sequence
 
 import mpmath
@@ -77,6 +77,8 @@ def azuma_tail(t: float, influences: Sequence[float]) -> mpmath.mpf:
     """Bounded-differences tail exp(-2 t^2 / sum b_i^2), clamped to one."""
     if t < 0:
         raise DomainError("deviation must be non-negative")
+    if not isfinite(t):
+        raise DomainError("deviation t must be finite")
     with mpmath.workdps(PRECISION_DPS):
         ssq = mpmath.fsum(mpmath.mpf(b) ** 2 for b in influences)
         if ssq == 0:
@@ -137,6 +139,8 @@ def union_budget(n: int, log_base: float | None = None) -> Fraction | mpmath.mpf
         return Fraction(factorial(n), n ** n)
     if log_base <= 1:
         raise DomainError("log base must exceed 1")
+    if not isfinite(log_base):
+        raise DomainError("log base must be finite")
     with mpmath.workdps(PRECISION_DPS):
         return mpmath.mpf(factorial(n)) * mpmath.e ** (
             -n * mpmath.log(n) / mpmath.log(log_base))

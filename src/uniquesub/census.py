@@ -4,6 +4,19 @@ Each level is built by augmenting every (n-1)-vertex class representative
 with one new vertex over all 2^(n-1) attachment neighbourhoods and keying
 the results by canonical form, which both deduplicates and fixes the
 deterministic output order (lexicographic by canon_bytes).
+
+An augmentation is canonicalised only if the new vertex minimises the
+isomorphism-invariant phi(v) = (deg v, sum of the degrees of v's
+neighbours), compared lexicographically, over the child's vertices; phi is
+read off the parent's degrees and the attachment mask, so a rejected mask
+costs no Graph and no canonical search.  Nothing is lost: every class G has
+a vertex v minimising phi, G - v has a representative P one level down, and
+attaching a new vertex to P along the image of N(v) gives a copy of G whose
+new vertex plays v and so minimises phi too.  The filter only drops repeat
+labellings of a class, and canonical bytes and |Aut| do not depend on which
+labelling is canonicalised, so every table is the unfiltered one (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 1998, with a vertex
+invariant in place of the canonical-deletion test).
 """
 from __future__ import annotations
 
@@ -15,7 +28,7 @@ from typing import Iterator
 
 from .canon import canonicalize, decode_canon_bytes
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 MAX_ENUMERATION_N = 10
 
@@ -23,6 +36,20 @@ MAX_ENUMERATION_N = 10
 def _check_n(n: int) -> None:
     if not 1 <= n <= MAX_ENUMERATION_N:
         raise DomainError(f"enumeration supports 1..{MAX_ENUMERATION_N} vertices, got {n}")
+
+
+def _new_vertex_minimises(adj: tuple[int, ...], deg: list[int], nbr_sum: list[int],
+                          mask: int) -> bool:
+    """Does a vertex joined to ``mask`` minimise (degree, neighbour-degree sum)
+    over the child's vertices?  Ties count as minimal."""
+    k = mask.bit_count()
+    new_sum = k + sum(deg[u] for u in _bits(mask))
+    for u, row in enumerate(adj):
+        inside = mask >> u & 1
+        d = deg[u] + inside
+        if d < k or d == k and nbr_sum[u] + (row & mask).bit_count() + inside * k < new_sum:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -35,15 +62,16 @@ def _census(n: int) -> tuple[tuple[bytes, int], ...]:
     seen: dict[bytes, int] = {}
     for parent_bytes, _ in _census(n - 1):
         parent = decode_canon_bytes(parent_bytes)
+        deg = [row.bit_count() for row in parent.adj]
+        nbr_sum = [sum(deg[w] for w in _bits(row)) for row in parent.adj]
         base = list(parent.adj) + [0]
         for mask in range(1 << (n - 1)):
+            if not _new_vertex_minimises(parent.adj, deg, nbr_sum, mask):
+                continue
             adj = base[:]
             adj[n - 1] = mask
-            rest = mask
-            while rest:
-                low = rest & -rest
-                adj[low.bit_length() - 1] |= 1 << (n - 1)
-                rest ^= low
+            for u in _bits(mask):
+                adj[u] |= 1 << (n - 1)
             form = canonicalize(Graph(n, tuple(adj)))
             seen.setdefault(form.canon_bytes, form.aut_order)
     return tuple(sorted(seen.items()))

@@ -12,8 +12,6 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable
 
-from scipy.stats import beta as _beta
-
 from .canon import aut_order, decode_canon_bytes
 from .census import census_entries, enumerate_unlabelled
 from .errors import DomainError, ResourceLimitError
@@ -233,6 +231,8 @@ class EstimateReport:
 
 def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
     """Two-sided exact binomial confidence interval at level 1 - CI_ALPHA."""
+    from scipy.stats import beta as _beta  # deferred: a 1 s import no other command needs
+
     if successes == 0:
         lo = 0.0
     else:

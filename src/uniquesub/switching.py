@@ -150,6 +150,8 @@ def refine_t(hc: Graph, b_prime: Iterable[int],
         raise DomainError("threshold schedule must be non-empty")
     if any(thr <= 0 for thr in schedule):
         raise DomainError("thresholds must be strictly positive")
+    if not all(isfinite(thr) for thr in schedule):
+        raise DomainError("schedule thresholds must be finite")
     t_mask = 0
     for v in b_prime:
         t_mask |= 1 << v

@@ -2,7 +2,9 @@
 
 Everything here works on raw edge bitmasks over the row-major pair order
 and canonicalizes by minimizing over all vertex permutations, so none of
-the production refinement/search code is in the loop.
+the production refinement/search code is in the loop.  The one exception is
+``unfiltered_census``, which checks only the census's augmentation filter
+and so keys its classes by the production canonical form.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from math import factorial
 
 import numpy as np
 
+from uniquesub.canon import canonicalize, decode_canon_bytes
 from uniquesub.graphs import Graph, from_edges, pair_list
 
 
@@ -76,6 +79,23 @@ def bucket_all_labelled(n: int) -> tuple[np.ndarray, np.ndarray]:
         np.minimum(canon, permuted, out=canon)
         aut += permuted == masks
     return canon, aut
+
+
+@lru_cache(maxsize=None)
+def unfiltered_census(n: int) -> tuple[tuple[bytes, int], ...]:
+    """Sorted (canon_bytes, aut_order) per class, by plain augmentation: every
+    attachment of a new vertex to every class one level down is canonicalised."""
+    if n == 1:
+        children = [Graph(1, (0,))]
+    else:
+        children = []
+        for parent_bytes, _ in unfiltered_census(n - 1):
+            parent = decode_canon_bytes(parent_bytes)
+            for mask in range(1 << (n - 1)):
+                adj = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
+                children.append(Graph(n, (*adj, mask)))
+    forms = [canonicalize(g) for g in children]
+    return tuple(sorted({f.canon_bytes: f.aut_order for f in forms}.items()))
 
 
 def brute_count_embeddings(g: Graph, h: Graph) -> int:

@@ -82,6 +82,11 @@ class TestAzumaTail:
     def test_clamped(self):
         assert azuma_tail(0.0, [5.0]) <= 1
 
+    @pytest.mark.parametrize("t", [float("inf"), float("nan")])
+    def test_rejects_non_finite_deviation(self, t):
+        with pytest.raises(DomainError, match="deviation t must be finite"):
+            azuma_tail(t, [1.0])
+
     def test_dominates_exact_binomial_tail_grid(self):
         # X = heads in m fair flips, f = X, b_i = 1: Hoeffding's inequality
         points = 0
@@ -196,3 +201,8 @@ class TestUnionBudget:
             union_budget(0)
         with pytest.raises(DomainError):
             union_budget(3, log_base=1.0)
+
+    @pytest.mark.parametrize("log_base", [float("inf"), float("nan")])
+    def test_rejects_non_finite_log_base(self, log_base):
+        with pytest.raises(DomainError, match="log base must be finite"):
+            union_budget(3, log_base=log_base)

@@ -1,15 +1,18 @@
 """enumerate: unlabelled streams, Polya ratios, automorphism fractions."""
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from oracles import bucket_all_labelled
+from oracles import bucket_all_labelled, unfiltered_census
+from uniquesub import census
 from uniquesub.canon import canonicalize
-from uniquesub.census import (MAX_ENUMERATION_N, aut_orders, enumerate_unlabelled,
-                              nontrivial_aut_fraction, polya_report, unlabelled_count)
+from uniquesub.census import (MAX_ENUMERATION_N, aut_orders, census_entries,
+                              enumerate_unlabelled, nontrivial_aut_fraction, polya_report,
+                              unlabelled_count)
 from uniquesub.errors import DomainError
 
 # A000088, derived here from the labelled bucketing oracle for n <= 6 and
@@ -43,6 +46,16 @@ class TestEnumeration:
         for n in range(1, 8):
             total = sum(factorial(n) // a for a in aut_orders(n))
             assert total == 2 ** (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_unfiltered_augmentation(self, n):
+        assert census_entries(n) == unfiltered_census(n)
+
+    def test_complete_at_eight(self):
+        # A000088(8), and the Polya identity: a class dropped by the
+        # augmentation filter would break both
+        assert unlabelled_count(8) == 12346
+        assert sum(factorial(8) // a for a in aut_orders(8)) == 2 ** 28
 
 
 class TestPolyaReport:
@@ -101,3 +114,24 @@ def test_augmentation_agrees_with_oracle_class_sets():
 def _mask(g):
     from oracles import mask_from_graph
     return mask_from_graph(g)
+
+
+# canonicalize calls per census level.  The unfiltered augmentation makes
+# |classes(n-1)| * 2^(n-1) of them: 2, 8, 32, 176, 1088, 9984.
+CANONICALIZE_CALLS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 60, 6: 290, 7: 2024}
+
+
+def test_canonicalize_calls_per_level(monkeypatch):
+    calls: Counter[int] = Counter()
+
+    def counting(g):
+        calls[g.n] += 1
+        return canonicalize(g)
+
+    monkeypatch.setattr(census, "canonicalize", counting)
+    census._census.cache_clear()
+    try:
+        census_entries(7)
+    finally:
+        census._census.cache_clear()
+    assert calls == CANONICALIZE_CALLS

@@ -8,6 +8,7 @@ import pytest
 from uniquesub import cli, embedding, ingest_corpus, process
 from uniquesub.cli import main
 from uniquesub.errors import Graph6Error
+from uniquesub.switching import RefinementResult
 
 
 def run_cli(capsys, *argv):
@@ -297,7 +298,11 @@ class TestIngest:
     ("process", "--g6", "D?{", "--traces", "1", "--seed", "1", "--L", "nan"),
     ("refine-t", "--hc", "C`", "--c", "inf"),
     ("refine-t", "--hc", "C`", "--c", "nan"),
-], ids=["L-inf", "L-inf-pool", "L-nan", "c-inf", "c-nan"])
+    ("refine-t", "--hc", "C`", "--c", "1", "--schedule", "inf"),
+    ("bounds", "azuma", "--t", "nan", "--b", "1"),
+    ("bounds", "union-budget", "--n", "3", "--log-base", "nan"),
+], ids=["L-inf", "L-inf-pool", "L-nan", "c-inf", "c-nan", "schedule-inf", "azuma-nan",
+        "union-budget-nan"])
 def test_non_finite_input_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -305,12 +310,23 @@ def test_non_finite_input_exits_two(capsys, argv):
     assert error["type"] == "DomainError" and "finite" in error["message"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("bounds", "azuma", "--t", "nan", "--b", "1"),
-    ("bounds", "union-budget", "--n", "3", "--log-base", "nan"),
-    ("refine-t", "--hc", "C`", "--c", "1", "--schedule", "inf"),
+def _nan_refinement(hc, b_prime, schedule):
+    return RefinementResult(t=(), steps=(), depth=0, final_threshold=float("inf"),
+                            depth_exceeded=False)
+
+
+# The library now refuses non-finite inputs itself, so each case stubs the function
+# behind a command to return a non-finite value and reach the guard in ``dumps``.
+@pytest.mark.parametrize("target, stub, argv", [
+    ("azuma_tail", lambda t, influences: float("nan"),
+     ("bounds", "azuma", "--t", "1", "--b", "1")),
+    ("union_budget", lambda n, log_base: float("nan"),
+     ("bounds", "union-budget", "--n", "3", "--log-base", "2")),
+    ("refine_t", _nan_refinement, ("refine-t", "--hc", "C`", "--c", "1", "--schedule", "1")),
 ], ids=["azuma-nan", "union-budget-nan", "schedule-inf"])
-def test_non_json_payload_exits_two_and_prints_nothing(capsys, tmp_path, argv):
+def test_non_json_payload_exits_two_and_prints_nothing(capsys, tmp_path, monkeypatch,
+                                                       target, stub, argv):
+    monkeypatch.setattr(cli.bounds_mod if target != "refine_t" else cli, target, stub)
     record = tmp_path / "runs.jsonl"
     code, out, err = run_cli(capsys, "--record", str(record), *argv)
     assert code == 2 and out == "" and not record.exists()
@@ -343,3 +359,12 @@ def test_replay_identical_across_processes():
     first = subprocess.run(argv, capture_output=True, check=True)
     second = subprocess.run(argv, capture_output=True, check=True)
     assert first.stdout == second.stdout and first.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.stats takes about a second to import, and only clopper_pearson needs it
+    import subprocess
+    import sys
+    code = "import sys, uniquesub.cli; print('scipy' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
+    assert run.stdout == "False\n"

@@ -271,6 +271,11 @@ class TestRefineT:
         with pytest.raises(DomainError):
             refine_t(empty_graph(3), [0], [0.0])
 
+    @pytest.mark.parametrize("thr", [float("inf"), float("nan")])
+    def test_rejects_non_finite_threshold(self, thr):
+        with pytest.raises(DomainError, match="schedule thresholds must be finite"):
+            refine_t(empty_graph(3), [0], [1.0, thr])
+
     def test_distinct_steps_and_postcondition(self):
         rng = derive_rng(999, None)
         for trial in range(1000):
