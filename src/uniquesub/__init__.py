@@ -10,7 +10,7 @@ from .embedding import (ALL_SIZES, SPANNING_ONLY, CountOutcome, EstimateReport, 
                         count_embeddings, count_subgraph_copies, estimate_unique_prob,
                         f_max, f_max_exact, f_of_h, f_table, has_unique_embedding,
                         is_unique_subgraph, verify_embedding)
-from .errors import DomainError, Graph6Error, ResourceLimitError, UniquesubError
+from .errors import DomainError, Graph6Error, UniquesubError
 from .graphs import (Graph, VertexMap, complement, complete_graph, cycle_graph,
                      empty_graph, emit_graph6, from_edges, induced_subgraph,
                      ingest_corpus, parse_graph6, path_graph, relabel)

@@ -79,6 +79,8 @@ def azuma_tail(t: float, influences: Sequence[float]) -> mpmath.mpf:
         raise DomainError("deviation must be non-negative")
     if not isfinite(t):
         raise DomainError("deviation t must be finite")
+    if not all(isfinite(b) for b in influences):
+        raise DomainError("influences b must be finite")
     with mpmath.workdps(PRECISION_DPS):
         ssq = mpmath.fsum(mpmath.mpf(b) ** 2 for b in influences)
         if ssq == 0:
@@ -121,6 +123,8 @@ def dense_case_inequality(delta: float, c: float, n: int) -> BoundReport:
     """
     if c <= 0:
         raise DomainError("the density constant must be positive")
+    if not isfinite(c):
+        raise DomainError("the density constant c must be finite")
     level, _ = chernoff_l(delta, n)  # always >= 1: the radius-0 tail is 1
     total = n * (n - 1) // 2
     with mpmath.workdps(PRECISION_DPS):

@@ -30,7 +30,7 @@ from .canon import canonicalize, decode_canon_bytes
 from .errors import DomainError
 from .graphs import Graph, _bits
 
-MAX_ENUMERATION_N = 10
+MAX_ENUMERATION_N = 9
 
 
 def _check_n(n: int) -> None:

@@ -131,7 +131,7 @@ def _cmd_f_exact(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_f_of_h(args: argparse.Namespace) -> dict[str, Any]:
     h = parse_graph6(args.g6)
-    return _f_entry(f_of_h(h, _universe(args), allow_large=args.allow_large))
+    return _f_entry(f_of_h(h, _universe(args)))
 
 
 def _estimate_trial(work: tuple[str, int, int]) -> bool:
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("f-of-h", help="unique-subgraph density of one host")
     p.add_argument("--g6", required=True)
     p.add_argument("--spanning", action="store_true")
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(fn=_cmd_f_of_h)
 
     p = sub.add_parser("estimate", help="Monte-Carlo unique-embedding probability")

@@ -14,51 +14,36 @@ from typing import Iterable
 
 from .canon import aut_order, decode_canon_bytes
 from .census import census_entries, enumerate_unlabelled
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .graphs import Graph, VertexMap, emit_graph6
 from .sampling import derive_rng, gnp_half
 
 ALL_SIZES = "all-sizes"
 SPANNING_ONLY = "spanning"
 
-F_ALL_SIZES_MAX_N = 7
 F_MAX_EXACT_MAX_N = 6
 CI_ALPHA = 0.01  # Monte-Carlo estimates carry 99% Clopper-Pearson intervals
 
 
 @dataclass(frozen=True)
 class CountOutcome:
-    """Tagged count: zero, one (with witness), at_least (early exit), or exact.
+    """An embedding count, with the first embedding found as ``witness``
+    whenever the count is not zero.
 
-    ``count`` is the exact value for zero/one/exact and the requested
-    threshold (a lower bound) for at_least.
+    ``is_exact`` is False when the search stopped at its ``early_exit_at``
+    threshold; ``count`` is then that threshold, a lower bound.
     """
 
-    kind: str
     count: int
+    is_exact: bool = True
     witness: VertexMap | None = None
 
-    @staticmethod
-    def zero() -> "CountOutcome":
-        return CountOutcome("zero", 0)
-
-    @staticmethod
-    def one(witness: VertexMap) -> "CountOutcome":
-        return CountOutcome("one", 1, witness)
-
-    @staticmethod
-    def at_least(threshold: int, witness: VertexMap | None = None) -> "CountOutcome":
-        return CountOutcome("at_least", threshold, witness)
-
-    @staticmethod
-    def exact(count: int, witness: VertexMap | None = None) -> "CountOutcome":
-        if count == 0:
-            return CountOutcome.zero()
-        if count == 1:
-            if witness is None:
-                raise DomainError("a count of one requires a witness")
-            return CountOutcome.one(witness)
-        return CountOutcome("exact", count)
+    @property
+    def kind(self) -> str:
+        """``"zero"``, ``"one"``, ``"exact"`` or ``"at_least"``."""
+        if not self.is_exact:
+            return "at_least"
+        return {0: "zero", 1: "one"}.get(self.count, "exact")
 
     @property
     def is_zero(self) -> bool:
@@ -68,22 +53,18 @@ class CountOutcome:
     def is_one(self) -> bool:
         return self.kind == "one"
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind != "at_least"
-
 
 def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> CountOutcome:
     """Count injective edge-preserving maps of ``g`` into ``h``.
 
     With ``early_exit_at=k`` the search stops at the k-th embedding and
-    reports ``at_least(k)``.  A larger ``g`` than ``h`` yields zero by
-    convention (no injection exists).
+    reports k with ``is_exact`` False.  A larger ``g`` than ``h`` yields zero
+    by convention (no injection exists).
     """
     if early_exit_at is not None and early_exit_at < 1:
         raise DomainError("early_exit_at must be at least 1")
     if g.n > h.n:
-        return CountOutcome.zero()
+        return CountOutcome(0)
 
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     prev_nbrs: list[list[int]] = []
@@ -116,14 +97,8 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
         return False
 
     aborted = rec(0, 0)
-    if count == 0:
-        return CountOutcome.zero()
-    wmap = VertexMap(g.n, h.n, witness)  # type: ignore[arg-type]
-    if aborted:
-        return CountOutcome.at_least(early_exit_at, wmap)  # type: ignore[arg-type]
-    if count == 1:
-        return CountOutcome.one(wmap)
-    return CountOutcome.exact(count)
+    return CountOutcome(count, not aborted,
+                        None if witness is None else VertexMap(g.n, h.n, witness))
 
 
 def verify_embedding(g: Graph, h: Graph, vmap: VertexMap) -> bool:
@@ -136,10 +111,7 @@ def verify_embedding(g: Graph, h: Graph, vmap: VertexMap) -> bool:
 def count_subgraph_copies(g: Graph, h: Graph) -> CountOutcome:
     """Number of (vertex subset, edge subset) pairs of ``h`` isomorphic to ``g``."""
     emb = count_embeddings(g, h)
-    copies = emb.count // aut_order(g)
-    if copies == 1:
-        return CountOutcome.one(emb.witness)  # type: ignore[arg-type]
-    return CountOutcome.exact(copies) if copies else CountOutcome.zero()
+    return CountOutcome(emb.count // aut_order(g), witness=emb.witness)
 
 
 def is_unique_subgraph(g: Graph, h: Graph) -> bool:
@@ -147,8 +119,7 @@ def is_unique_subgraph(g: Graph, h: Graph) -> bool:
     if g.n > h.n:
         return False
     aut = aut_order(g)
-    out = count_embeddings(g, h, early_exit_at=aut + 1)
-    return out.is_exact and out.count == aut
+    return count_embeddings(g, h, early_exit_at=aut + 1).count == aut
 
 
 def has_unique_embedding(g: Graph, h: Graph) -> bool:
@@ -168,32 +139,26 @@ class FValue:
 
 
 def _universe_census(universe: str, n: int) -> Iterable[tuple[bytes, int]]:
-    if universe == ALL_SIZES:
-        for k in range(1, n + 1):
-            yield from census_entries(k)
-    elif universe == SPANNING_ONLY:
-        yield from census_entries(n)
-    else:
+    top = census_entries(n)  # the census guard trips before any level is built
+    if universe == SPANNING_ONLY:
+        return top
+    if universe != ALL_SIZES:
         raise DomainError(f"unknown universe {universe!r}")
+    return (entry for k in range(1, n + 1) for entry in census_entries(k))
 
 
-def f_of_h(h: Graph, universe: str = ALL_SIZES, allow_large: bool = False) -> FValue:
+def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     """Unique-subgraph classes of ``h`` over the universe, scaled by n!/2^N.
 
     The all-sizes universe ranges over every non-empty graph on 1..n
-    vertices (the spanning universe over order-n graphs only) and is guarded
-    at n = 7; pass ``allow_large=True`` to override.
+    vertices, the spanning universe over order-n graphs only; either is
+    limited to the orders the census supports.
     """
     n = h.n
-    if universe == ALL_SIZES and n > F_ALL_SIZES_MAX_N and not allow_large:
-        raise ResourceLimitError(
-            f"all-sizes universe at n={n} exceeds the n={F_ALL_SIZES_MAX_N} guard; "
-            "pass allow_large=True to override")
     unique = 0
     for canon_bytes, aut in _universe_census(universe, n):
         g = decode_canon_bytes(canon_bytes)
-        out = count_embeddings(g, h, early_exit_at=aut + 1)
-        if out.is_exact and out.count == aut:
+        if count_embeddings(g, h, early_exit_at=aut + 1).count == aut:
             unique += 1
     denominator = Fraction(2 ** (n * (n - 1) // 2), factorial(n))
     return FValue(h=h, universe=universe, unique_count=unique,

@@ -18,7 +18,3 @@ class Graph6Error(UniquesubError, ValueError):
         super().__init__(f"{reason} (byte offset {offset})")
         self.reason = reason
         self.offset = offset
-
-
-class ResourceLimitError(UniquesubError, RuntimeError):
-    """A size guard tripped; pass the documented override flag to proceed."""

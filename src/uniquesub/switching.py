@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, ldexp
 from typing import Iterable, Sequence
 
 from .errors import DomainError
@@ -178,10 +178,13 @@ def refine_t(hc: Graph, b_prime: Iterable[int],
 
 
 def default_schedule(b_prime_size: int, c: float) -> list[float]:
-    """Geometric thresholds |B'|/2, |B'|/4, ... with depth cap 4c+1."""
+    """Geometric thresholds |B'|/2, |B'|/4, ... with depth cap 4c+1; refused,
+    before any list is built, when the last and smallest underflows to zero."""
     if not isfinite(c):
         raise DomainError("degree constant must be finite")
-    depth = int(4 * c) + 1
+    depth = int(4 * Fraction(c)) + 1  # exact; 4.0 * c overflows near the float maximum
+    if ldexp(b_prime_size, -depth) <= 0:
+        raise DomainError("thresholds must be strictly positive")
     return [b_prime_size / 2 ** (i + 1) for i in range(depth)]
 
 

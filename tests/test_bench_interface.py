@@ -10,19 +10,21 @@ import importlib.util
 from pathlib import Path
 
 from uniquesub import canon, census, cli
+from uniquesub.embedding import count_embeddings
+from uniquesub.graphs import complete_graph, path_graph
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _sites() -> list[tuple[str, str, str, object]]:
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SITES
+    return module
 
 
 def test_every_traced_site_resolves():
-    sites = _sites()
+    sites = _tracing().SITES
     assert sites
     for module, attr, _, _ in sites:
         assert callable(getattr(importlib.import_module(f"uniquesub.{module}"), attr)), \
@@ -41,3 +43,13 @@ def test_caches_the_traced_run_clears():
     assert callable(canon.canonicalize.cache_info)
     assert callable(canon.canonicalize.__wrapped__)
     assert callable(census._census.cache_clear)
+
+
+def test_every_outcome_kind_has_a_trace_tag():
+    # the traced run tags each count_embeddings span with _OUTCOME[result.kind]
+    k1, k2, k3 = complete_graph(1), complete_graph(2), complete_graph(3)
+    outcomes = [count_embeddings(k3, path_graph(3)), count_embeddings(k1, k1),
+                count_embeddings(k2, k3), count_embeddings(k2, k3, early_exit_at=2)]
+    assert [out.kind for out in outcomes] == ["zero", "one", "exact", "at_least"]
+    tag = _tracing()._OUTCOME
+    assert len({tag[out.kind] for out in outcomes}) == 4

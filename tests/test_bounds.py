@@ -87,6 +87,11 @@ class TestAzumaTail:
         with pytest.raises(DomainError, match="deviation t must be finite"):
             azuma_tail(t, [1.0])
 
+    @pytest.mark.parametrize("b", [float("inf"), float("nan")])
+    def test_rejects_non_finite_influence(self, b):
+        with pytest.raises(DomainError, match="influences b must be finite"):
+            azuma_tail(1.0, [1.0, b])
+
     def test_dominates_exact_binomial_tail_grid(self):
         # X = heads in m fair flips, f = X, b_i = 1: Hoeffding's inequality
         points = 0
@@ -171,6 +176,11 @@ class TestDenseCaseInequality:
     def test_validation(self):
         with pytest.raises(DomainError):
             dense_case_inequality(0.5, 0.0, 8)
+
+    @pytest.mark.parametrize("c", [float("inf"), float("nan")])
+    def test_rejects_non_finite_constant(self, c):
+        with pytest.raises(DomainError, match="density constant c must be finite"):
+            dense_case_inequality(0.5, c, 8)
 
 
 class TestUnionBudget:

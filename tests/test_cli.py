@@ -31,9 +31,11 @@ class TestEnumerateCommand:
         assert len(target.read_text().strip().splitlines()) == 34
 
     def test_out_of_range_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--n", "11")
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "DomainError"
+        for n in ("10", "11"):
+            code, _, err = run_cli(capsys, "enumerate", "--n", n)
+            assert code == 2
+            assert json.loads(err)["error"] == {
+                "type": "DomainError", "message": f"enumeration supports 1..9 vertices, got {n}"}
 
 
 class TestPolyaCommand:
@@ -44,6 +46,11 @@ class TestPolyaCommand:
         assert payload["unlabelled_count"] == 11
         assert payload["ratio"] == 4.125
         assert payload["ratio_exact"] == {"num": 33, "den": 8}
+
+    def test_order_ten_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "polya", "--n", "10")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "DomainError"
 
 
 class TestFCommands:
@@ -67,9 +74,18 @@ class TestFCommands:
         assert json.loads(out)["universe"] == "spanning"
 
     def test_guard_exits_two(self, capsys):
-        code, _, err = run_cli(capsys, "f-of-h", "--g6", "G?????")
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "ResourceLimitError"
+        for spanning in ([], ["--spanning"]):
+            code, out, err = run_cli(capsys, "f-of-h", "--g6", "I????????", *spanning)
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == {
+                "type": "DomainError", "message": "enumeration supports 1..9 vertices, got 10"}
+
+    def test_order_eight_needs_no_override(self, capsys):
+        code, out, _ = run_cli(capsys, "f-of-h", "--g6", "G?????")
+        assert code == 0 and json.loads(out)["count"] == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["f-of-h", "--g6", "G?????", "--allow-large"])
+        assert exc.value.code == 2
 
 
 class TestStochasticCommands:

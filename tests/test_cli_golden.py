@@ -27,6 +27,7 @@ INPUTS = {"good.g6": "@\nA_\nBw\n", "bad.g6": "Bw\nB\nBw\n"}
 CASES: dict[str, list[str]] = {
     "enumerate-3": ["enumerate", "--n", "3"],
     "enumerate-out": ["enumerate", "--n", "4", "--out", "{tmp}/g4.g6"],
+    "enumerate-10": ["enumerate", "--n", "10"],
     "enumerate-too-large": ["enumerate", "--n", "11"],
     "polya-4": ["polya", "--n", "4"],
     "polya-0": ["polya", "--n", "0"],
@@ -35,7 +36,9 @@ CASES: dict[str, list[str]] = {
     "f-exact-7": ["f-exact", "--n", "7"],
     "f-of-h": ["f-of-h", "--g6", "Bw"],
     "f-of-h-spanning": ["f-of-h", "--g6", "DK[", "--spanning"],
-    "f-of-h-guard": ["f-of-h", "--g6", "G?????"],
+    "f-of-h-8": ["f-of-h", "--g6", "G?????"],
+    "f-of-h-10": ["f-of-h", "--g6", "I????????"],
+    "f-of-h-allow-large": ["f-of-h", "--g6", "Bw", "--allow-large"],
     "f-of-h-bad-g6": ["f-of-h", "--g6", "B"],
     "estimate": ["estimate", "--g6", "Bw", "--trials", "30", "--seed", "99"],
     "estimate-pool": ["--threads", "2", "estimate", "--g6", "D?{", "--trials", "16",
@@ -64,6 +67,7 @@ CASES: dict[str, list[str]] = {
     "refine-t-c-negative": ["refine-t", "--hc", "C`", "--c", "-1"],
     "refine-t-c-nan": ["refine-t", "--hc", "C`", "--c", "nan"],
     "refine-t-c-inf": ["refine-t", "--hc", "C`", "--c", "inf"],
+    "refine-t-c-huge": ["refine-t", "--hc", "C`", "--c", "1e300"],
     "refine-t-schedule-inf": ["refine-t", "--hc", "C`", "--c", "1", "--schedule", "inf"],
     "bounds-binom-point-mass": ["bounds", "binom-point-mass", "--n-pairs", "6"],
     "bounds-binom-point-mass-0": ["bounds", "binom-point-mass", "--n-pairs", "0"],
@@ -71,12 +75,15 @@ CASES: dict[str, list[str]] = {
     "bounds-chernoff-l-nan": ["bounds", "chernoff-l", "--delta", "nan", "--n", "6"],
     "bounds-azuma": ["bounds", "azuma", "--t", "1", "--b", "1,1"],
     "bounds-azuma-nan": ["bounds", "azuma", "--t", "nan", "--b", "1"],
+    "bounds-azuma-b-inf": ["bounds", "azuma", "--t", "1", "--b", "1,inf"],
     "bounds-expected-embeddings": ["bounds", "expected-embeddings", "--n", "3",
                                    "--e-h", "3"],
     "bounds-density-decay": ["bounds", "density-decay", "--e-h", "4", "--n-pairs", "6",
                              "--steps", "2", "--m-star", "2"],
     "bounds-dense-case": ["bounds", "dense-case", "--delta", "0.5", "--c", "100",
                           "--n", "8"],
+    "bounds-dense-case-c-nan": ["bounds", "dense-case", "--delta", "0.5", "--c", "nan",
+                                "--n", "8"],
     "bounds-union-budget": ["bounds", "union-budget", "--n", "10"],
     "bounds-union-budget-log": ["bounds", "union-budget", "--n", "10", "--log-base", "2"],
     "bounds-union-budget-nan": ["bounds", "union-budget", "--n", "3", "--log-base", "nan"],

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_count_embeddings, brute_f_value, graph_from_mask
-from uniquesub.canon import aut_order
+from uniquesub import census, embedding
+from uniquesub.canon import aut_order, canonicalize
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, count_embeddings,
                                  count_subgraph_copies, estimate_unique_prob,
                                  f_max_exact, f_of_h, has_unique_embedding,
                                  is_unique_subgraph, verify_embedding)
-from uniquesub.errors import DomainError, ResourceLimitError
+from uniquesub.errors import DomainError
 from uniquesub.graphs import (Graph, complete_graph, empty_graph, from_edges,
                               pair_list, path_graph)
 from uniquesub.sampling import derive_rng, gnp_half
@@ -147,15 +148,32 @@ class TestFValues:
                 assert spanning.unique_count <= full.unique_count
                 assert spanning.unique_count >= 1  # H is its own unique spanning copy
 
-    def test_resource_guard(self):
-        with pytest.raises(ResourceLimitError):
-            f_of_h(empty_graph(8), ALL_SIZES)
-        f_of_h(empty_graph(8), SPANNING_ONLY)  # spanning needs no guard
-
-    def test_resource_guard_override(self):
+    def test_all_sizes_at_eight(self):
         # only the empty order-8 graph is a unique subgraph of the empty host
-        fv = f_of_h(empty_graph(8), ALL_SIZES, allow_large=True)
-        assert fv.unique_count == 1
+        assert f_of_h(empty_graph(8), ALL_SIZES).unique_count == 1
+        assert f_of_h(empty_graph(8), SPANNING_ONLY).unique_count == 1
+
+    def test_resource_guard(self, monkeypatch):
+        # the census guard refuses order 10 before any level is built or counted
+        calls = {"canonicalize": 0, "count_embeddings": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(census, "canonicalize", counting("canonicalize", canonicalize))
+        monkeypatch.setattr(embedding, "count_embeddings",
+                            counting("count_embeddings", count_embeddings))
+        census._census.cache_clear()
+        try:
+            for universe in (ALL_SIZES, SPANNING_ONLY):
+                with pytest.raises(DomainError, match=r"1\.\.9 vertices, got 10"):
+                    f_of_h(empty_graph(10), universe)
+        finally:
+            census._census.cache_clear()
+        assert calls == {"canonicalize": 0, "count_embeddings": 0}
 
     def test_f_max_small(self):
         fv, g6 = f_max_exact(1)

@@ -237,6 +237,23 @@ class TestClassifyDegrees:
         with pytest.raises(DomainError, match="finite"):
             default_schedule(4, c)
 
+    @pytest.mark.parametrize("b", [0, 1, 2, 64])
+    def test_schedule_refused_exactly_when_a_threshold_underflows(self, b):
+        # the thresholds of every c that yields a schedule are unchanged, and
+        # the refused ones are those whose last threshold rounds to zero
+        for c in [0.0, 1.0, 200.0] + [x / 4 for x in range(1060, 1090)]:
+            thresholds = [b / 2 ** (i + 1) for i in range(int(4 * c) + 1)]
+            if thresholds[-1] > 0:
+                assert default_schedule(b, c) == thresholds
+            else:
+                with pytest.raises(DomainError, match="thresholds must be strictly positive"):
+                    default_schedule(b, c)
+
+    @pytest.mark.parametrize("c", [300.0, 1e300, 1.7e308])
+    def test_huge_constant_refused_before_building(self, c):
+        with pytest.raises(DomainError, match="thresholds must be strictly positive"):
+            default_schedule(64, c)
+
     def test_degree_sum_bound(self):
         rng = derive_rng(321, None)
         for trial in range(300):
