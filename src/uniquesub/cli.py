@@ -2,10 +2,11 @@
 
 Each subcommand returns its payload and ``main`` alone writes it: JSON on
 stdout (graph6 lines for ``enumerate``) and exit 0.  Usage and precondition
-problems, and payloads holding NaN or infinities, exit 2 with a structured
-error object on stderr.  ``--record`` appends one JSON line per run with the
-full parameter set, seed, timestamps and payload; replaying a recorded
-stochastic command with its seed reproduces the payload byte for byte.
+problems, and payloads holding NaN, infinities or values beyond the float
+range, exit 2 with a structured error object on stderr.  ``--record``
+appends one JSON line per run with the full parameter set, seed, timestamps
+and payload; replaying a recorded stochastic command with its seed
+reproduces the payload byte for byte.
 """
 from __future__ import annotations
 
@@ -77,6 +78,12 @@ def _need_seed(args: argparse.Namespace) -> int:
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and Monte-Carlo laboratory for unique-subgraph densities.")
     parser.add_argument("--record", metavar="PATH",
                         help="append an experiment record as one JSON line")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="worker count, at most the core count (default: all cores)")
     parser.set_defaults(render=dumps)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -327,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="Monte-Carlo unique-embedding probability")
     p.add_argument("--g6", required=True)
     p.add_argument("--trials", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_non_negative_int)
     p.set_defaults(fn=_cmd_estimate)
 
     p = sub.add_parser("process", help="random graph process traces against a host")
     p.add_argument("--g6", required=True)
     p.add_argument("--traces", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_non_negative_int)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--scan-all", action="store_true")
     p.set_defaults(fn=_cmd_process, render=_render_process)
@@ -418,7 +425,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(args.render(payload))
         if args.record:
             _record_run(args, payload, started)
-    except (UniquesubError, OSError, ValueError) as exc:
+    except (UniquesubError, OSError, ValueError, OverflowError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(dumps(err), file=sys.stderr)
         return 2

@@ -138,28 +138,26 @@ class FValue:
     f: Fraction
 
 
-def _universe_census(universe: str, n: int) -> Iterable[tuple[bytes, int]]:
-    top = census_entries(n)  # the census guard trips before any level is built
-    if universe == SPANNING_ONLY:
-        return top
-    if universe != ALL_SIZES:
-        raise DomainError(f"unknown universe {universe!r}")
-    return (entry for k in range(1, n + 1) for entry in census_entries(k))
-
-
 def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     """Unique-subgraph classes of ``h`` over the universe, scaled by n!/2^N.
 
-    The all-sizes universe ranges over every non-empty graph on 1..n
-    vertices, the spanning universe over order-n graphs only; either is
-    limited to the orders the census supports.
+    The spanning universe ranges over the order-n graphs, the all-sizes one
+    over every non-empty graph on 1..n vertices; both are read from the
+    order-n census alone, whose guard limits n.  A pattern G of order k < n
+    with an isolated vertex is never unique: sending that vertex to one its
+    copy leaves unused gives a second copy.  Without one, G has exactly as
+    many copies as G + (n-k)K1, an order-n pattern with an isolated vertex
+    and an edge that stands for G alone, so all-sizes counts it twice.
     """
     n = h.n
+    patterns = census_entries(n)  # the census guard trips before the universe check
+    if universe not in (ALL_SIZES, SPANNING_ONLY):
+        raise DomainError(f"unknown universe {universe!r}")
     unique = 0
-    for canon_bytes, aut in _universe_census(universe, n):
+    for canon_bytes, aut in patterns:
         g = decode_canon_bytes(canon_bytes)
         if count_embeddings(g, h, early_exit_at=aut + 1).count == aut:
-            unique += 1
+            unique += 1 + (universe == ALL_SIZES and 0 in g.adj and any(g.adj))
     denominator = Fraction(2 ** (n * (n - 1) // 2), factorial(n))
     return FValue(h=h, universe=universe, unique_count=unique,
                   denominator=denominator, f=Fraction(unique) / denominator)

@@ -8,6 +8,7 @@ locator below exploits with O(log N) early-exit counts.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, isfinite
@@ -102,25 +103,14 @@ def uniqueness_interval(trace: ProcessTrace, h: Graph) -> UniquenessInterval:
         raise DomainError("host order must match the trace order")
     total = trace.total_pairs
 
-    # First m with at most one embedding (total + 1 if none).
-    lo, hi = 0, total + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _category(trace, h, mid) <= 1:
-            hi = mid
-        else:
-            lo = mid + 1
-    first_le_one = lo
+    steps = range(total + 1)
 
-    # Last m with at least one embedding (m = 0 always embeds the empty graph).
-    lo, hi = 0, total
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _category(trace, h, mid) >= 1:
-            lo = mid
-        else:
-            hi = mid - 1
-    last_ge_one = lo
+    def rank(m: int) -> int:  # non-decreasing in m
+        return -_category(trace, h, m)
+
+    first_le_one = bisect_left(steps, -1, key=rank)  # total + 1 if none
+    # m = 0 always embeds the empty graph, so the first step with none is >= 1.
+    last_ge_one = bisect_left(steps, 0, lo=max(first_le_one, 1), key=rank) - 1
 
     if first_le_one > last_ge_one:
         return UniquenessInterval(None, None)

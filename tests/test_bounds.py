@@ -66,6 +66,20 @@ class TestChernoffL:
         with pytest.raises(DomainError):
             chernoff_l(1.0, 5)
 
+    def test_tail_matches_binomial_sum(self):
+        for n in range(1, 13):
+            total = n * (n - 1) // 2
+            for level in range(n + 2):
+                want = sum(Fraction(comb(total, t), 2 ** total) for t in range(total + 1)
+                           if abs(Fraction(total, 2) - t) >= level * n)
+                assert exact_edge_count_tail(n, level) == want
+
+    def test_refuses_orders_beyond_the_measured_limit(self):
+        for call in (lambda: chernoff_l(0.5, 651),
+                     lambda: dense_case_inequality(0.5, 100.0, 651)):
+            with pytest.raises(DomainError, match=r"n <= 650, got n=651"):
+                call()
+
 
 class TestAzumaTail:
     def test_zero_deviation(self):

@@ -45,6 +45,11 @@ CASES: dict[str, list[str]] = {
                       "--seed", "5"],
     "estimate-trials-0": ["estimate", "--g6", "Bw", "--trials", "0", "--seed", "1"],
     "estimate-bad-g6": ["estimate", "--g6", "B", "--trials", "3", "--seed", "1"],
+    "estimate-seed-negative": ["estimate", "--g6", "Bw", "--trials", "3", "--seed", "-5"],
+    "estimate-threads-0": ["--threads", "0", "estimate", "--g6", "Bw", "--trials", "3",
+                           "--seed", "1"],
+    "estimate-threads-negative": ["--threads", "-3", "estimate", "--g6", "Bw", "--trials",
+                                  "3", "--seed", "1"],
     "process-L": ["process", "--g6", "D?{", "--traces", "3", "--seed", "7", "--L", "1.0"],
     "process-interval": ["process", "--g6", "D?{", "--traces", "2", "--seed", "7"],
     "process-scan-all": ["process", "--g6", "C~", "--traces", "1", "--seed", "3",
@@ -56,6 +61,7 @@ CASES: dict[str, list[str]] = {
                       "--L", "inf"],
     "process-L-inf-pool": ["--threads", "2", "process", "--g6", "Gyh|^k", "--traces", "16",
                            "--seed", "1", "--L", "inf"],
+    "process-seed-negative": ["process", "--g6", "D?{", "--traces", "1", "--seed", "-5"],
     "switch": ["switch", "--hc", "C`", "--g", "C~", "--pi", "0,1,2,3"],
     "switch-pairs": ["switch", "--hc", "C`", "--g", "C~", "--pi", "0,1,2,3",
                      "--pairs", "2,3"],
@@ -73,17 +79,22 @@ CASES: dict[str, list[str]] = {
     "bounds-binom-point-mass-0": ["bounds", "binom-point-mass", "--n-pairs", "0"],
     "bounds-chernoff-l": ["bounds", "chernoff-l", "--delta", "0.5", "--n", "6"],
     "bounds-chernoff-l-nan": ["bounds", "chernoff-l", "--delta", "nan", "--n", "6"],
+    "bounds-chernoff-l-too-large": ["bounds", "chernoff-l", "--delta", "0.5", "--n", "651"],
     "bounds-azuma": ["bounds", "azuma", "--t", "1", "--b", "1,1"],
     "bounds-azuma-nan": ["bounds", "azuma", "--t", "nan", "--b", "1"],
     "bounds-azuma-b-inf": ["bounds", "azuma", "--t", "1", "--b", "1,inf"],
     "bounds-expected-embeddings": ["bounds", "expected-embeddings", "--n", "3",
                                    "--e-h", "3"],
+    "bounds-expected-embeddings-overflow": ["bounds", "expected-embeddings", "--n", "200",
+                                            "--e-h", "19900"],
     "bounds-density-decay": ["bounds", "density-decay", "--e-h", "4", "--n-pairs", "6",
                              "--steps", "2", "--m-star", "2"],
     "bounds-dense-case": ["bounds", "dense-case", "--delta", "0.5", "--c", "100",
                           "--n", "8"],
     "bounds-dense-case-c-nan": ["bounds", "dense-case", "--delta", "0.5", "--c", "nan",
                                 "--n", "8"],
+    "bounds-dense-case-too-large": ["bounds", "dense-case", "--delta", "0.5", "--c", "100",
+                                    "--n", "651"],
     "bounds-union-budget": ["bounds", "union-budget", "--n", "10"],
     "bounds-union-budget-log": ["bounds", "union-budget", "--n", "10", "--log-base", "2"],
     "bounds-union-budget-nan": ["bounds", "union-budget", "--n", "3", "--log-base", "nan"],

@@ -13,7 +13,7 @@ from uniquesub.canon import aut_order, canonicalize
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, count_embeddings,
                                  count_subgraph_copies, estimate_unique_prob,
-                                 f_max_exact, f_of_h, has_unique_embedding,
+                                 f_max_exact, f_of_h, f_table, has_unique_embedding,
                                  is_unique_subgraph, verify_embedding)
 from uniquesub.errors import DomainError
 from uniquesub.graphs import (Graph, complete_graph, empty_graph, from_edges,
@@ -175,6 +175,22 @@ class TestFValues:
             census._census.cache_clear()
         assert calls == {"canonicalize": 0, "count_embeddings": 0}
 
+    def test_one_pattern_pass_serves_both_universes(self, monkeypatch):
+        # all-sizes f reads the order-6 census alone: 156 patterns per host
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return count_embeddings(*args, **kwargs)
+
+        monkeypatch.setattr(embedding, "count_embeddings", counting)
+        per_universe = {}
+        for universe in (ALL_SIZES, SPANNING_ONLY):
+            calls.clear()
+            f_table(6, universe)
+            per_universe[universe] = len(calls)
+        assert per_universe == {ALL_SIZES: 24_336, SPANNING_ONLY: 24_336}
+
     def test_f_max_small(self):
         fv, g6 = f_max_exact(1)
         assert fv.f == 1 and g6 == "@"
@@ -191,9 +207,11 @@ class TestFValues:
         fv, _ = f_max_exact(3)
         assert fv.f == Fraction(9, 4)
 
-    def test_f_of_h_matches_brute_on_classes_n4(self):
-        for h in enumerate_unlabelled(4):
-            assert f_of_h(h).f == brute_f_value(h)
+    def test_f_of_h_matches_brute_on_classes_to_n5(self):
+        # the oracle enumerates vertex and edge subsets of every order itself
+        for n in range(1, 6):
+            for h in enumerate_unlabelled(n):
+                assert f_of_h(h).f == brute_f_value(h)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
