@@ -2,11 +2,24 @@
 
 The canonical form is the lexicographically minimal packed upper-triangle
 encoding over all relabellings reachable by iterated equitable degree
-refinement with backtracking over the first non-singleton cell.  Every
-permutation that realizes the minimal encoding is a leaf of that search,
-and the set of such permutations is exactly one coset of the automorphism
-group, so counting minimal leaves yields the group order in the same
-traversal.
+refinement with backtracking over the first non-singleton cell.
+
+The search prunes with the automorphisms it finds (McKay 1981; McKay and
+Piperno, "Practical graph isomorphism II", 2014).  Two leaves with equal
+codes differ by an automorphism that fixes the common prefix of their
+paths, so the subtree below that prefix holding the later leaf copies the
+one holding the earlier; the search drops it and resumes at the node where
+the paths part.  Each leaf is compared with the first leaf and with the
+best one so far, and every automorphism found is merged into a union-find
+of vertex orbits.  All of them fix the first path down to the node being
+searched, so a first-path child in the known orbit of a child already
+searched is skipped.  A node is also cut when the code rows its leading
+singleton cells fix exceed the best leaf's and differ from the first
+leaf's.  No rule drops the first minimal leaf in search order, so the
+code and ``canon_map`` are those of the unpruned search.  When a
+first-path node is done, the automorphisms found generate its stabiliser,
+so by orbit-stabiliser |Aut| is the product over first-path nodes of the
+orbit size of the first child within its target cell.
 """
 from __future__ import annotations
 
@@ -63,61 +76,112 @@ def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-@lru_cache(maxsize=64)
-def _pair_weights(n: int) -> tuple[tuple[int, ...], ...]:
-    """Bit value of pair (a, b), a < b, in the row-major upper-triangle code."""
-    npairs = n * (n - 1) // 2
-    weights = [[0] * n for _ in range(n)]
-    rank = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            weights[a][b] = 1 << (npairs - 1 - rank)
-            rank += 1
-    return tuple(tuple(row) for row in weights)
-
-
 def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
-    weights = _pair_weights(n)
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if adj[u] >> v & 1]
-    best_code = -1
-    best_count = 0
-    best_perm: list[int] = list(range(n))
+    npairs = n * (n - 1) // 2
+    orbit = list(range(n))  # union-find: orbits of the automorphisms found so far
+    path: list[int] = []  # the vertices individualised from the root to the current node
+    # (code, labelling, path) of the first leaf and of the best leaf so far
+    first: tuple[int, list[int], tuple[int, ...]] = (-1, [], ())
+    best = first
 
-    def leaf(cells: list[list[int]]) -> None:
-        nonlocal best_code, best_count, best_perm
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    def join(perm_a: list[int], perm_b: list[int]) -> None:
+        """Merge orbits along the automorphism taking leaf a's labelling to leaf b's."""
+        at = [0] * n
+        for v, pos in enumerate(perm_b):
+            at[pos] = v
+        for v in range(n):
+            a = find(v)
+            b = find(at[perm_a[v]])
+            if a != b:
+                orbit[max(a, b)] = min(a, b)
+
+    def labelling(cells: list[list[int]]) -> list[int]:
         perm = [0] * n
         for pos, cell in enumerate(cells):
             perm[cell[0]] = pos
-        code = 0
-        for u, v in edges:
-            a = perm[u]
-            b = perm[v]
-            code |= weights[a][b] if a < b else weights[b][a]
-        if best_code < 0 or code < best_code:
-            best_code = code
-            best_count = 1
-            best_perm = perm
-        elif code == best_code:
-            best_count += 1
+        return perm
 
-    def rec(cells: list[list[int]]) -> None:
+    def child(cells: list[list[int]], target: int, v: int) -> list[list[int]]:
+        rest = [w for w in cells[target] if w != v]
+        return _refine(adj, cells[:target] + [[v], rest] + cells[target + 1:])
+
+    def settle(cells: list[list[int]], rows: int, code: int) -> tuple[int, int, int]:
+        """(target cell, leading singleton count, their code rows) of a node.
+
+        A singleton at position a fixes row a of every leaf's code below the
+        node: an equitable partition makes the adjacency between a singleton
+        and each cell uniform.  ``rows`` and ``code`` are the parent's."""
         target = -1
         for idx, cell in enumerate(cells):
             if len(cell) > 1:
                 target = idx
                 break
-        if target < 0:
-            leaf(cells)
-            return
-        cell = cells[target]
-        head = cells[:target]
-        tail = cells[target + 1:]
-        for v in cell:
-            rest = [w for w in cell if w != v]
-            rec(_refine(adj, head + [[v], rest] + tail))
+        fixed = target if target >= 0 else n
+        if fixed > rows:
+            at = [cell[0] for cell in cells for _ in cell]  # position -> a vertex of its cell
+            for a in range(rows, fixed):
+                row = adj[at[a]]
+                for b in range(a + 1, n):
+                    code = code << 1 | row >> at[b] & 1
+        return target, fixed, code
 
-    rec(_refine(adj, [list(range(n))]))
-    return best_code, best_count, best_perm
+    def first_path(cells: list[list[int]], rows: int, code: int) -> int:
+        """Search below a first-path node; return the order of its stabiliser."""
+        nonlocal first, best
+        target, rows, code = settle(cells, rows, code)
+        if target < 0:
+            first = best = (code, labelling(cells), tuple(path))
+            return 1
+        cell = cells[target]
+        path.append(cell[0])
+        order = first_path(child(cells, target, cell[0]), rows, code)
+        path.pop()
+        searched = [cell[0]]
+        for v in cell[1:]:
+            if find(v) in {find(u) for u in searched}:
+                continue
+            searched.append(v)
+            path.append(v)
+            explore(child(cells, target, v), rows, code)
+            path.pop()
+        root = find(cell[0])
+        return order * sum(1 for v in cell if find(v) == root)
+
+    def explore(cells: list[list[int]], rows: int, code: int) -> int:
+        """Search below an off-path node; return the depth of the node at
+        which the search resumes, ``len(path)`` or more to carry on."""
+        nonlocal best
+        target, rows, code = settle(cells, rows, code)
+        shift = npairs - rows * (2 * n - rows - 1) // 2
+        if code != first[0] >> shift and code > best[0] >> shift:
+            return len(path)  # no leaf below is minimal or matches the first leaf
+        if target >= 0:
+            depth = len(path)
+            for v in cells[target]:
+                path.append(v)
+                resume = explore(child(cells, target, v), rows, code)
+                path.pop()
+                if resume < depth:
+                    return resume
+            return depth
+        # a leaf not cut above matches the first or the best leaf, or beats the best
+        if code == first[0] or code == best[0]:
+            # An automorphism fixing the common prefix of the two paths: the
+            # subtree below it holding this leaf copies the one holding the other.
+            other = first if code == first[0] else best
+            join(other[1], labelling(cells))
+            return next(d for d, (a, b) in enumerate(zip(path, other[2])) if a != b)
+        best = (code, labelling(cells), tuple(path))
+        return len(path)
+
+    order = first_path(_refine(adj, [list(range(n))]), 0, 0)
+    return best[0], order, best[1]
 
 
 def _pack_code(n: int, code: int) -> bytes:

@@ -27,7 +27,7 @@ from . import bounds as bounds_mod
 from .census import MAX_ENUMERATION_N, enumerate_unlabelled, nontrivial_aut_fraction, polya_report
 from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h, f_table,
                         unique_trial)
-from .errors import UniquesubError
+from .errors import DomainError, UniquesubError
 from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
 from .process import embedding_trajectory, sample_trace, uniqueness_interval, x_statistic
 from .switching import (SwitchContext, apply_switch, classify_degrees, default_schedule,
@@ -247,12 +247,23 @@ def _report_payload(report: bounds_mod.BoundReport) -> dict[str, Any]:
             "bound": report.bound_value, "slack": report.slack}
 
 
+def _check_printable(value: Fraction, option: str, given: int) -> None:
+    """Refuse an exact value whose numerator or denominator Python will not print."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise DomainError(f"{option} {given}: the exact value has more than {limit} digits, "
+                          f"past Python's limit on printing integers")
+
+
 def _cmd_binom_point_mass(args: argparse.Namespace) -> dict[str, Any]:
-    return _report_payload(bounds_mod.binomial_point_mass_max(args.n_pairs))
+    report = bounds_mod.binomial_point_mass_max(args.n_pairs)
+    _check_printable(report.exact_value, "--n-pairs", args.n_pairs)
+    return _report_payload(report)
 
 
 def _cmd_chernoff_l(args: argparse.Namespace) -> dict[str, Any]:
     level, tail = bounds_mod.chernoff_l(args.delta, args.n)
+    _check_printable(tail, "--n", args.n)
     return {"name": "chernoff-l", "inputs": {"delta": args.delta, "n": args.n},
             "L": level, "exact_tail": tail, "bound": float(args.delta) / 4}
 
@@ -265,6 +276,7 @@ def _cmd_azuma(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_expected_embeddings(args: argparse.Namespace) -> dict[str, Any]:
     value = bounds_mod.expected_embeddings(args.n, args.e_h)
+    _check_printable(value, "--n", args.n)
     return {"name": "expected-embeddings", "inputs": {"n": args.n, "e_h": args.e_h},
             "exact": value, "bound": float(value)}
 
@@ -272,6 +284,8 @@ def _cmd_expected_embeddings(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_density_decay(args: argparse.Namespace) -> dict[str, Any]:
     loose, sharp = bounds_mod.density_decay_bound(args.e_h, args.n_pairs, args.steps,
                                                   args.m_star)
+    for value in (loose, sharp):
+        _check_printable(value, "--steps", args.steps)
     return {"name": "density-decay",
             "inputs": {"e_h": args.e_h, "n_pairs": args.n_pairs, "steps": args.steps,
                        "m_star": args.m_star},
@@ -286,6 +300,8 @@ def _cmd_dense_case(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_union_budget(args: argparse.Namespace) -> dict[str, Any]:
     value = bounds_mod.union_budget(args.n, args.log_base)
+    if args.log_base is None:
+        _check_printable(value, "--n", args.n)
     return {"name": "union-budget", "inputs": {"n": args.n, "log_base": args.log_base},
             "bound": float(value), "exact": value if args.log_base is None else None}
 

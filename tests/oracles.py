@@ -2,9 +2,11 @@
 
 Everything here works on raw edge bitmasks over the row-major pair order
 and canonicalizes by minimizing over all vertex permutations, so none of
-the production refinement/search code is in the loop.  The one exception is
-``unfiltered_census``, which checks only the census's augmentation filter
-and so keys its classes by the production canonical form.
+the production refinement/search code is in the loop.  The two exceptions check
+one layer each on top of production code: ``unfiltered_census`` checks only
+the census's augmentation filter and so keys its classes by the production
+canonical form, and ``exhaustive_canon`` checks only the canonical search's
+automorphism pruning and so shares its equitable refinement.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ from math import factorial
 
 import numpy as np
 
-from uniquesub.canon import canonicalize, decode_canon_bytes
-from uniquesub.graphs import Graph, from_edges, pair_list
+from uniquesub.canon import (CanonicalForm, _pack_code, _refine, canonicalize,
+                             decode_canon_bytes)
+from uniquesub.graphs import Graph, VertexMap, from_edges, pair_list
 
 
 def mask_from_graph(g: Graph) -> int:
@@ -79,6 +82,44 @@ def bucket_all_labelled(n: int) -> tuple[np.ndarray, np.ndarray]:
         np.minimum(canon, permuted, out=canon)
         aut += permuted == masks
     return canon, aut
+
+
+def exhaustive_canon(g: Graph) -> CanonicalForm:
+    """The canonical search without pruning: every leaf of the refinement
+    tree is visited, the first one with the minimal code gives the code and
+    the map, and |Aut| is the number of minimal leaves, which form one coset
+    of the automorphism group."""
+    n, adj = g.n, g.adj
+    pairs = pair_list(n)
+    weight = {pair: 1 << (len(pairs) - 1 - rank) for rank, pair in enumerate(pairs)}
+    edges = list(g.edges())
+    best_code, best_count, best_perm = -1, 0, list(range(n))
+
+    def leaf(cells: list[list[int]]) -> None:
+        nonlocal best_code, best_count, best_perm
+        perm = [0] * n
+        for pos, cell in enumerate(cells):
+            perm[cell[0]] = pos
+        code = 0
+        for u, v in edges:
+            code |= weight[tuple(sorted((perm[u], perm[v])))]
+        if best_code < 0 or code < best_code:
+            best_code, best_count, best_perm = code, 1, perm
+        elif code == best_code:
+            best_count += 1
+
+    def rec(cells: list[list[int]]) -> None:
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
+        if target < 0:
+            leaf(cells)
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            rec(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1:]))
+
+    rec(_refine(adj, [list(range(n))]))
+    return CanonicalForm(_pack_code(n, best_code), best_count, VertexMap(n, n, tuple(best_perm)))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """canon-auto: canonical forms, isomorphism, automorphism-group orders."""
 from __future__ import annotations
 
+import random
 from itertools import permutations
 from math import factorial
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bucket_all_labelled, graph_from_mask, mask_from_graph
+from oracles import bucket_all_labelled, exhaustive_canon, graph_from_mask, mask_from_graph
 from uniquesub.canon import are_isomorphic, aut_order, canonicalize, decode_canon_bytes
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.graphs import (complement, complete_graph, cycle_graph, empty_graph,
-                              from_edges, path_graph, relabel)
+                              from_edges, parse_graph6, path_graph, relabel)
 
 
 class TestAutOrder:
@@ -28,11 +29,13 @@ class TestAutOrder:
         for perm in permutations(range(5)):
             assert aut_order(relabel(g, perm)) == aut_order(g)
 
-    def test_matches_brute_force_n5(self):
-        canon, aut = bucket_all_labelled(5)
-        for mask in sorted(set(canon.tolist())):
-            g = graph_from_mask(5, int(mask))
-            assert aut_order(g) == int(aut[int(mask)])
+    def test_matches_brute_force(self):
+        # every class at n = 5 and n = 6, the 8 rigid six-vertex ones included
+        for n in (5, 6):
+            canon, aut = bucket_all_labelled(n)
+            for mask in sorted(set(canon.tolist())):
+                g = graph_from_mask(n, int(mask))
+                assert aut_order(g) == int(aut[int(mask)])
 
     def test_rigid_first_appears_at_six(self):
         # K_1 is trivially rigid; no other graph below six vertices is
@@ -66,11 +69,12 @@ class TestCanonicalForm:
                 assert canonicalize(relabel(g, perm)).canon_bytes == expected
 
     def test_canon_map_realizes_canon_bytes(self):
-        for g in enumerate_unlabelled(5):
-            form = canonicalize(g)
-            relabelled = relabel(g, form.canon_map.image)
-            assert canonicalize(relabelled).canon_bytes == form.canon_bytes
-            assert decode_canon_bytes(form.canon_bytes) == relabelled
+        for n in range(1, 8):
+            for g in enumerate_unlabelled(n):
+                form = canonicalize(g)
+                relabelled = relabel(g, form.canon_map.image)
+                assert canonicalize(relabelled).canon_bytes == form.canon_bytes
+                assert decode_canon_bytes(form.canon_bytes) == relabelled
 
     def test_aut_order_divides_factorial(self):
         for n in (3, 4, 5):
@@ -88,6 +92,73 @@ class TestCanonicalForm:
             keys = [next(iter(s)) for s in by_bucket.values()]
             assert all(len(s) == 1 for s in by_bucket.values())
             assert len(set(keys)) == len(keys)
+
+
+class TestAgainstExhaustiveSearch:
+    """The pruned search returns the unpruned search's code, map and |Aut|."""
+
+    def test_every_class_to_seven_relabelled(self):
+        rng = random.Random(11)
+        for n in range(1, 8):
+            for g in enumerate_unlabelled(n):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                h = relabel(g, perm)
+                assert canonicalize(h) == exhaustive_canon(h)
+
+    def test_best_leaf_inside_the_child_being_searched(self):
+        # A leaf matching a best leaf found below the same first-path child
+        # proves only the subtree below their common prefix a copy; ending
+        # the whole child there returned a code above the minimum here.
+        g = parse_graph6(r"Jnr~t|n}\|_")
+        assert canonicalize(g) == exhaustive_canon(g)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_random_graphs(self, n):
+        rng = random.Random(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for density in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
+            for _ in range(3):
+                g = from_edges(n, [p for p in pairs if rng.random() < density])
+                if g.edge_count() in (0, len(pairs)):
+                    continue  # n! leaves unpruned; K_n and the empty graph are in SYMMETRIC
+                assert canonicalize(g) == exhaustive_canon(g)
+
+
+def _hypercube(d: int):
+    return from_edges(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d)
+                               if not v >> i & 1])
+
+
+_PETERSEN = from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                       + [(i, i + 5) for i in range(5)]
+                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+SYMMETRIC = {
+    **{f"K{n}": (complete_graph(n), factorial(n)) for n in (9, 16, 32, 64)},
+    **{f"empty{n}": (empty_graph(n), factorial(n)) for n in (9, 16, 32, 64)},
+    **{f"C{n}": (cycle_graph(n), 2 * n) for n in (32, 64)},
+    "petersen": (_PETERSEN, 120),
+    "K3,5": (from_edges(8, [(a, b) for a in range(3) for b in range(3, 8)]),
+             factorial(3) * factorial(5)),
+    "Q6": (_hypercube(6), 2 ** 6 * factorial(6)),
+    # complement of C4 + K3 + 9 K1: off the first path a C4 vertex heads a
+    # subtree of 9! leaves, none matching the first leaf
+    "co-(C4+K3+9K1)": (complement(from_edges(16, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                                  (4, 5), (5, 6), (4, 6)])),
+                       8 * 6 * factorial(9)),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC))
+def test_symmetric_graph_aut_order_and_relabelling(name):
+    # closed-form group orders far beyond any exhaustive search
+    g, order = SYMMETRIC[name]
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    h = relabel(g, perm)
+    assert aut_order(g) == aut_order(h) == order
+    assert canonicalize(h).canon_bytes == canonicalize(g).canon_bytes
 
 
 class TestIsomorphism:

@@ -8,7 +8,7 @@ from math import factorial
 import pytest
 
 from oracles import bucket_all_labelled, unfiltered_census
-from uniquesub import census
+from uniquesub import canon, census
 from uniquesub.canon import canonicalize
 from uniquesub.census import (MAX_ENUMERATION_N, aut_orders, census_entries,
                               enumerate_unlabelled, nontrivial_aut_fraction, polya_report,
@@ -135,3 +135,27 @@ def test_canonicalize_calls_per_level(monkeypatch):
     finally:
         census._census.cache_clear()
     assert calls == CANONICALIZE_CALLS
+
+
+# Canonical-search nodes (calls of the equitable refinement) per census
+# level.  Without automorphism pruning the search made 1, 6, 29, 174, 988,
+# 6751 and 48974; a lost pruning rule shows up here on any machine.
+SEARCH_NODES = {1: 1, 2: 6, 3: 21, 4: 88, 5: 360, 6: 1797, 7: 10963}
+
+
+def test_search_nodes_per_level(monkeypatch):
+    nodes: Counter[int] = Counter()
+    refine = canon._refine
+
+    def counting(adj, cells):
+        nodes[len(adj)] += 1
+        return refine(adj, cells)
+
+    monkeypatch.setattr(canon, "_refine", counting)
+    census._census.cache_clear()
+    canonicalize.cache_clear()
+    try:
+        census_entries(7)
+    finally:
+        census._census.cache_clear()
+    assert nodes == SEARCH_NODES

@@ -271,6 +271,15 @@ class TestBoundsCommand:
         assert payload["loose"] == {"num": 4, "den": 9}
         assert payload["sharp"] == {"num": 1, "den": 4}
 
+    def test_digit_limit_is_exact(self, capsys):
+        # the tail's denominator has 4,273 digits at n = 169 and 4,322 at n = 170
+        code, out, _ = run_cli(capsys, "bounds", "chernoff-l", "--delta", "0.5", "--n", "169")
+        assert code == 0
+        assert len(str(json.loads(out)["exact_tail"]["den"])) <= 4300
+        code, _, err = run_cli(capsys, "bounds", "chernoff-l", "--delta", "0.5", "--n", "170")
+        assert code == 2
+        assert json.loads(err)["error"]["message"].startswith("--n 170:")
+
 
 class TestIngest:
     def test_round_trip_through_enumerate(self, capsys, tmp_path):

@@ -77,9 +77,11 @@ CASES: dict[str, list[str]] = {
     "refine-t-schedule-inf": ["refine-t", "--hc", "C`", "--c", "1", "--schedule", "inf"],
     "bounds-binom-point-mass": ["bounds", "binom-point-mass", "--n-pairs", "6"],
     "bounds-binom-point-mass-0": ["bounds", "binom-point-mass", "--n-pairs", "0"],
+    "bounds-binom-point-mass-digits": ["bounds", "binom-point-mass", "--n-pairs", "20000"],
     "bounds-chernoff-l": ["bounds", "chernoff-l", "--delta", "0.5", "--n", "6"],
     "bounds-chernoff-l-nan": ["bounds", "chernoff-l", "--delta", "nan", "--n", "6"],
     "bounds-chernoff-l-too-large": ["bounds", "chernoff-l", "--delta", "0.5", "--n", "651"],
+    "bounds-chernoff-l-digits": ["bounds", "chernoff-l", "--delta", "0.5", "--n", "170"],
     "bounds-azuma": ["bounds", "azuma", "--t", "1", "--b", "1,1"],
     "bounds-azuma-nan": ["bounds", "azuma", "--t", "nan", "--b", "1"],
     "bounds-azuma-b-inf": ["bounds", "azuma", "--t", "1", "--b", "1,inf"],
@@ -87,8 +89,12 @@ CASES: dict[str, list[str]] = {
                                    "--e-h", "3"],
     "bounds-expected-embeddings-overflow": ["bounds", "expected-embeddings", "--n", "200",
                                             "--e-h", "19900"],
+    "bounds-expected-embeddings-digits": ["bounds", "expected-embeddings", "--n", "200",
+                                          "--e-h", "0"],
     "bounds-density-decay": ["bounds", "density-decay", "--e-h", "4", "--n-pairs", "6",
                              "--steps", "2", "--m-star", "2"],
+    "bounds-density-decay-digits": ["bounds", "density-decay", "--e-h", "4", "--n-pairs", "6",
+                                    "--steps", "10000"],
     "bounds-dense-case": ["bounds", "dense-case", "--delta", "0.5", "--c", "100",
                           "--n", "8"],
     "bounds-dense-case-c-nan": ["bounds", "dense-case", "--delta", "0.5", "--c", "nan",
@@ -96,6 +102,7 @@ CASES: dict[str, list[str]] = {
     "bounds-dense-case-too-large": ["bounds", "dense-case", "--delta", "0.5", "--c", "100",
                                     "--n", "651"],
     "bounds-union-budget": ["bounds", "union-budget", "--n", "10"],
+    "bounds-union-budget-digits": ["bounds", "union-budget", "--n", "2000"],
     "bounds-union-budget-log": ["bounds", "union-budget", "--n", "10", "--log-base", "2"],
     "bounds-union-budget-nan": ["bounds", "union-budget", "--n", "3", "--log-base", "nan"],
     "bounds-missing-name": ["bounds"],
