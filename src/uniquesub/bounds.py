@@ -94,6 +94,8 @@ def azuma_tail(t: float, influences: Sequence[float]) -> mpmath.mpf:
 
 def expected_embeddings(n: int, e_h: int) -> Fraction:
     """Mean embedding count of a uniform pattern into a host with e_h edges."""
+    if n < 1:
+        raise DomainError("need at least one vertex")
     total = n * (n - 1) // 2
     if not 0 <= e_h <= total:
         raise DomainError(f"edge count {e_h} outside 0..{total}")

@@ -9,13 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
-from typing import Iterable
+from operator import ge
+from typing import Iterable, NamedTuple
 
 from .canon import aut_order, decode_canon_bytes
 from .census import census_entries, enumerate_unlabelled
 from .errors import DomainError
-from .graphs import Graph, VertexMap, emit_graph6
+from .graphs import Graph, VertexMap, _bits, emit_graph6, induced_subgraph
 from .sampling import derive_rng, gnp_half
 
 ALL_SIZES = "all-sizes"
@@ -60,19 +62,35 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
     With ``early_exit_at=k`` the search stops at the k-th embedding and
     reports k with ``is_exact`` False.  A larger ``g`` than ``h`` yields zero
     by convention (no injection exists).
+
+    Pattern vertices are placed in descending degree order, each on an
+    unused host vertex adjacent to the images of its earlier neighbours and
+    of at least its own degree: an embedding sends a vertex's neighbours to
+    distinct neighbours of its image.  The degree filter removes only host
+    vertices that lie on no embedding, so the leaves, and with them the
+    count, the early exit and the witness (the first leaf), are those of
+    the unfiltered search.
     """
     if early_exit_at is not None and early_exit_at < 1:
         raise DomainError("early_exit_at must be at least 1")
     if g.n > h.n:
         return CountOutcome(0)
 
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    prev_nbrs: list[list[int]] = []
-    for i, v in enumerate(order):
-        prev_nbrs.append([order[j] for j in range(i) if g.has_edge(v, order[j])])
-
+    gdeg = [row.bit_count() for row in g.adj]
+    order = sorted(range(g.n), key=lambda v: (-gdeg[v], v))
     hadj = h.adj
-    hfull = (1 << h.n) - 1
+    at_least = [0] * (h.n + 1)  # host vertices of degree >= d
+    for w, row in enumerate(hadj):
+        at_least[row.bit_count()] |= 1 << w
+    for d in range(h.n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    allowed = [at_least[gdeg[v]] for v in order]
+    prev_nbrs: list[list[int]] = []
+    earlier = 0
+    for v in order:
+        prev_nbrs.append(_bits(g.adj[v] & earlier))
+        earlier |= 1 << v
+
     assigned = [0] * g.n
     count = 0
     witness: tuple[int, ...] | None = None
@@ -85,7 +103,7 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
                 witness = tuple(assigned)
             return early_exit_at is not None and count >= early_exit_at
         v = order[i]
-        cand = ~used & hfull
+        cand = allowed[i] & ~used
         for w in prev_nbrs[i]:
             cand &= hadj[assigned[w]]
         while cand:
@@ -138,6 +156,30 @@ class FValue:
     f: Fraction
 
 
+class _Pattern(NamedTuple):
+    """One order-n pattern class G, as ``f_of_h`` tests it."""
+
+    core: Graph | None  # G without its isolated vertices; None when G has no edge
+    aut: int  # |Aut(core)| = |Aut(G)| / k!, for k isolated vertices
+    degrees: tuple[int, ...]  # G's degrees, descending
+    weight: int  # all-sizes weight: 2 when G has an isolated vertex and an edge
+
+
+@lru_cache(maxsize=1)
+def _pattern_table(n: int) -> tuple[_Pattern, ...]:
+    """The order-n census as patterns, in census order."""
+    table = []
+    for canon_bytes, aut in census_entries(n):
+        g = decode_canon_bytes(canon_bytes)
+        live = [v for v in range(n) if g.adj[v]]
+        k = n - len(live)
+        core = g if k == 0 else induced_subgraph(g, live) if k < n else None
+        table.append(_Pattern(core, aut // factorial(k),
+                              tuple(sorted((row.bit_count() for row in g.adj), reverse=True)),
+                              1 + (0 < k < n)))
+    return tuple(table)
+
+
 def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     """Unique-subgraph classes of ``h`` over the universe, scaled by n!/2^N.
 
@@ -148,16 +190,32 @@ def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     copy leaves unused gives a second copy.  Without one, G has exactly as
     many copies as G + (n-k)K1, an order-n pattern with an isolated vertex
     and an edge that stands for G alone, so all-sizes counts it twice.
+
+    Each order-n pattern G, with k isolated vertices and core G' (G without
+    them), is decided by three exact rules:
+
+    1. G is skipped unless the descending degrees of ``h`` dominate G's
+       term by term: an embedding is a bijection onto the host's vertices
+       that sends each vertex to one of at least its degree.
+    2. The empty pattern is always unique: its one copy is the host's
+       vertex set with no edges.
+    3. Any other G is unique iff G' has exactly |Aut(G')| embeddings into
+       ``h``: every embedding of G' leaves k host vertices unused, which
+       the isolated vertices fill in k! ways, so count(G) = k! count(G')
+       and |Aut(G)| = k! |Aut(G')|.
     """
     n = h.n
-    patterns = census_entries(n)  # the census guard trips before the universe check
+    table = _pattern_table(n)  # the census guard trips before the universe check
     if universe not in (ALL_SIZES, SPANNING_ONLY):
         raise DomainError(f"unknown universe {universe!r}")
+    all_sizes = universe == ALL_SIZES
+    hdeg = sorted((row.bit_count() for row in h.adj), reverse=True)
     unique = 0
-    for canon_bytes, aut in patterns:
-        g = decode_canon_bytes(canon_bytes)
-        if count_embeddings(g, h, early_exit_at=aut + 1).count == aut:
-            unique += 1 + (universe == ALL_SIZES and 0 in g.adj and any(g.adj))
+    for core, aut, degrees, weight in table:
+        if not all(map(ge, hdeg, degrees)):
+            continue
+        if core is None or count_embeddings(core, h, early_exit_at=aut + 1).count == aut:
+            unique += weight if all_sizes else 1
     denominator = Fraction(2 ** (n * (n - 1) // 2), factorial(n))
     return FValue(h=h, universe=universe, unique_count=unique,
                   denominator=denominator, f=Fraction(unique) / denominator)

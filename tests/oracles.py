@@ -2,11 +2,14 @@
 
 Everything here works on raw edge bitmasks over the row-major pair order
 and canonicalizes by minimizing over all vertex permutations, so none of
-the production refinement/search code is in the loop.  The two exceptions check
+the production refinement/search code is in the loop.  The exceptions check
 one layer each on top of production code: ``unfiltered_census`` checks only
 the census's augmentation filter and so keys its classes by the production
-canonical form, and ``exhaustive_canon`` checks only the canonical search's
-automorphism pruning and so shares its equitable refinement.
+canonical form, ``exhaustive_canon`` checks only the canonical search's
+automorphism pruning and so shares its equitable refinement, and
+``plain_count_embeddings`` and ``plain_unique_count`` are the embedding
+search without degree filtering and the f pattern loop without the pattern
+table, skips or isolated-vertex stripping, over the production census.
 """
 from __future__ import annotations
 
@@ -20,6 +23,9 @@ import numpy as np
 
 from uniquesub.canon import (CanonicalForm, _pack_code, _refine, canonicalize,
                              decode_canon_bytes)
+from uniquesub.census import census_entries
+from uniquesub.embedding import ALL_SIZES, CountOutcome
+from uniquesub.errors import DomainError
 from uniquesub.graphs import Graph, VertexMap, from_edges, pair_list
 
 
@@ -149,6 +155,62 @@ def brute_count_embeddings(g: Graph, h: Graph) -> int:
         if all(h.has_edge(image[u], image[v]) for u, v in gedges):
             count += 1
     return count
+
+
+def plain_count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> CountOutcome:
+    """The embedding search without degree filtering: every pattern vertex,
+    in descending degree order, tries every unused host vertex adjacent to
+    the images of its earlier neighbours."""
+    if early_exit_at is not None and early_exit_at < 1:
+        raise DomainError("early_exit_at must be at least 1")
+    if g.n > h.n:
+        return CountOutcome(0)
+
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    prev_nbrs: list[list[int]] = []
+    for i, v in enumerate(order):
+        prev_nbrs.append([order[j] for j in range(i) if g.has_edge(v, order[j])])
+
+    hadj = h.adj
+    hfull = (1 << h.n) - 1
+    assigned = [0] * g.n
+    count = 0
+    witness: tuple[int, ...] | None = None
+
+    def rec(i: int, used: int) -> bool:
+        nonlocal count, witness
+        if i == g.n:
+            count += 1
+            if witness is None:
+                witness = tuple(assigned)
+            return early_exit_at is not None and count >= early_exit_at
+        v = order[i]
+        cand = ~used & hfull
+        for w in prev_nbrs[i]:
+            cand &= hadj[assigned[w]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            assigned[v] = low.bit_length() - 1
+            if rec(i + 1, used | low):
+                return True
+        return False
+
+    aborted = rec(0, 0)
+    return CountOutcome(count, not aborted,
+                        None if witness is None else VertexMap(g.n, h.n, witness))
+
+
+def plain_unique_count(h: Graph, universe: str) -> int:
+    """Unique-subgraph count of ``h`` by one plain search per order-n pattern:
+    G is unique iff it has exactly |Aut(G)| embeddings, and all-sizes counts
+    twice a pattern with an isolated vertex and an edge."""
+    unique = 0
+    for canon_bytes, aut in census_entries(h.n):
+        g = decode_canon_bytes(canon_bytes)
+        if plain_count_embeddings(g, h, early_exit_at=aut + 1).count == aut:
+            unique += 1 + (universe == ALL_SIZES and 0 in g.adj and any(g.adj))
+    return unique
 
 
 def brute_unique_subgraph_count(h: Graph) -> int:

@@ -134,6 +134,9 @@ class TestExpectedEmbeddings:
     def test_validation(self):
         with pytest.raises(DomainError):
             expected_embeddings(4, 7)
+        for n in (0, -3):
+            with pytest.raises(DomainError, match="need at least one vertex"):
+                expected_embeddings(n, 0)
 
     def test_matches_exhaustive_mean_n4(self):
         pairs = pair_list(4)

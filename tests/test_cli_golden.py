@@ -91,6 +91,10 @@ CASES: dict[str, list[str]] = {
                                             "--e-h", "19900"],
     "bounds-expected-embeddings-digits": ["bounds", "expected-embeddings", "--n", "200",
                                           "--e-h", "0"],
+    "bounds-expected-embeddings-n-0": ["bounds", "expected-embeddings", "--n", "0",
+                                       "--e-h", "0"],
+    "bounds-expected-embeddings-n-negative": ["bounds", "expected-embeddings", "--n", "-3",
+                                              "--e-h", "0"],
     "bounds-density-decay": ["bounds", "density-decay", "--e-h", "4", "--n-pairs", "6",
                              "--steps", "2", "--m-star", "2"],
     "bounds-density-decay-digits": ["bounds", "density-decay", "--e-h", "4", "--n-pairs", "6",

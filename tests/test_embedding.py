@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_count_embeddings, brute_f_value, graph_from_mask
+from oracles import (brute_count_embeddings, brute_f_value, graph_from_mask,
+                     plain_count_embeddings, plain_unique_count)
 from uniquesub import census, embedding
 from uniquesub.canon import aut_order, canonicalize
 from uniquesub.census import enumerate_unlabelled
@@ -17,7 +18,7 @@ from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, count_embeddings,
                                  is_unique_subgraph, verify_embedding)
 from uniquesub.errors import DomainError
 from uniquesub.graphs import (Graph, complete_graph, empty_graph, from_edges,
-                              pair_list, path_graph)
+                              pair_list, parse_graph6, path_graph)
 from uniquesub.sampling import derive_rng, gnp_half
 
 
@@ -69,6 +70,23 @@ class TestCountEmbeddings:
             exact = count_embeddings(g, h).count
             fast = count_embeddings(g, h, early_exit_at=2)
             assert min(exact, 2) == min(fast.count, 2)
+
+    def test_matches_plain_search_on_class_pairs(self):
+        # the degree filter drops only dead branches: same count, exit and witness
+        classes = {n: list(enumerate_unlabelled(n)) for n in range(1, 6)}
+        for nh in classes:
+            for h in classes[nh]:
+                for ng in range(1, nh + 1):
+                    for g in classes[ng]:
+                        for early in (None, 1, 2, aut_order(g) + 1):
+                            assert (count_embeddings(g, h, early)
+                                    == plain_count_embeddings(g, h, early)), (g, h, early)
+
+    def test_matches_plain_search_on_montecarlo_host(self):
+        h = parse_graph6("Gyh|^k")
+        for i in range(500):
+            g = gnp_half(8, derive_rng(2024, i))
+            assert count_embeddings(g, h, 2) == plain_count_embeddings(g, h, 2), i
 
     @settings(max_examples=60)
     @given(st.integers(0, 2 ** 10 - 1), st.integers(0, 2 ** 10 - 1), st.integers(0, 9))
@@ -176,7 +194,8 @@ class TestFValues:
         assert calls == {"canonicalize": 0, "count_embeddings": 0}
 
     def test_one_pattern_pass_serves_both_universes(self, monkeypatch):
-        # all-sizes f reads the order-6 census alone: 156 patterns per host
+        # all-sizes f reads the order-6 census alone: of 156 patterns per host,
+        # those the host's degrees dominate, less the empty one, are searched
         calls = []
 
         def counting(*args, **kwargs):
@@ -189,7 +208,19 @@ class TestFValues:
             calls.clear()
             f_table(6, universe)
             per_universe[universe] = len(calls)
-        assert per_universe == {ALL_SIZES: 24_336, SPANNING_ONLY: 24_336}
+        assert per_universe == {ALL_SIZES: 8_787, SPANNING_ONLY: 8_787}
+        calls.clear()
+        assert f_of_h(empty_graph(6)).unique_count == 1
+        assert calls == []
+
+    def test_matches_plain_pattern_loop(self):
+        # every host to n=6, then K7, the empty 7-vertex graph and G(7,1/2) hosts
+        hosts = [h for n in range(1, 7) for h in enumerate_unlabelled(n)]
+        hosts += [complete_graph(7), empty_graph(7)]
+        hosts += [gnp_half(7, derive_rng(77, i)) for i in range(8)]
+        for h in hosts:
+            for universe in (ALL_SIZES, SPANNING_ONLY):
+                assert f_of_h(h, universe).unique_count == plain_unique_count(h, universe), h
 
     def test_f_max_small(self):
         fv, g6 = f_max_exact(1)
