@@ -5,8 +5,9 @@ stdout (graph6 lines for ``enumerate``) and exit 0.  Usage and precondition
 problems, and payloads holding NaN, infinities or values beyond the float
 range, exit 2 with a structured error object on stderr.  ``--record``
 appends one JSON line per run with the full parameter set, seed, timestamps
-and payload; replaying a recorded stochastic command with its seed
-reproduces the payload byte for byte.
+and payload, before the payload is printed, so a run whose record cannot be
+written prints nothing and exits 2.  Replaying a recorded stochastic command
+with its seed reproduces the payload byte for byte.
 """
 from __future__ import annotations
 
@@ -67,6 +68,9 @@ def _parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
     if workers <= 1:
         return [fn(x) for x in items]
     chunk = max(1, len(items) // (workers * 4))
+    # The work units sample with numpy: loaded before the pool forks, it is
+    # inherited by every worker instead of imported again by each.
+    import numpy  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunk))
 
@@ -438,9 +442,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.time()
     try:
         payload = args.fn(args)
-        print(args.render(payload))
+        text = args.render(payload)
         if args.record:
             _record_run(args, payload, started)
+        print(text)
     except (UniquesubError, OSError, ValueError, OverflowError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(dumps(err), file=sys.stderr)

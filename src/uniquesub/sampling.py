@@ -3,16 +3,25 @@
 All sampling runs on counter-based Philox streams so that per-trial
 generators can be derived from (seed, trial index) without coordination,
 which keeps Monte-Carlo runs reproducible under any work scheduling.
+
+numpy is imported by ``derive_rng`` alone, the one function that builds
+numpy objects; the samplers receive its generator.  The commands that never
+sample therefore never load numpy.
 """
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, pair_list
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_rng(seed: int, index: int | None = None) -> np.random.Generator:
     """Generator for a run, or for one trial of a run when ``index`` is given."""
+    import numpy as np
+
     if index is None:
         ss = np.random.SeedSequence(entropy=seed)
     else:

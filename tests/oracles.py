@@ -10,6 +10,8 @@ automorphism pruning and so shares its equitable refinement, and
 ``plain_count_embeddings`` and ``plain_unique_count`` are the embedding
 search without degree filtering and the f pattern loop without the pattern
 table, skips or isolated-vertex stripping, over the production census.
+``beta_ppf_interval`` is the Clopper-Pearson interval through
+``scipy.stats.beta.ppf``, the reference for the production quantile call.
 """
 from __future__ import annotations
 
@@ -20,11 +22,12 @@ from itertools import combinations, permutations
 from math import factorial
 
 import numpy as np
+from scipy.stats import beta
 
 from uniquesub.canon import (CanonicalForm, _pack_code, _refine, canonicalize,
                              decode_canon_bytes)
 from uniquesub.census import census_entries
-from uniquesub.embedding import ALL_SIZES, CountOutcome
+from uniquesub.embedding import ALL_SIZES, CI_ALPHA, CountOutcome
 from uniquesub.errors import DomainError
 from uniquesub.graphs import Graph, VertexMap, from_edges, pair_list
 
@@ -253,6 +256,16 @@ def brute_f_max(n: int) -> tuple[Fraction, int]:
             best = val
             best_mask = mask
     return best, best_mask
+
+
+def beta_ppf_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided Clopper-Pearson interval at level 1 - CI_ALPHA, each end a
+    ``scipy.stats.beta.ppf`` quantile."""
+    lo = 0.0 if successes == 0 else float(
+        beta.ppf(CI_ALPHA / 2, successes, trials - successes + 1))
+    hi = 1.0 if successes == trials else float(
+        beta.ppf(1 - CI_ALPHA / 2, successes + 1, trials - successes))
+    return lo, hi
 
 
 def switch_required_pairs_restated(hc: Graph, pi_image: tuple[int, ...],

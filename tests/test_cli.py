@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -387,9 +388,51 @@ def test_replay_identical_across_processes():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy.stats takes about a second to import, and only clopper_pearson needs it
+    # Each command imports only what it runs: numpy (about 0.15 s) only where it
+    # samples, and for estimate's interval scipy.special, never the 1 s scipy.stats.
+    # Each check runs in a fresh interpreter.
     import subprocess
     import sys
-    code = "import sys, uniquesub.cli; print('scipy' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
-    assert run.stdout == "False\n"
+    report = ("print(sorted(m for m in ('numpy', 'scipy', 'scipy.special', 'scipy.stats')"
+              " if m in sys.modules))")
+    cases = [
+        (None, []),
+        (["bounds", "union-budget", "--n", "2"], []),
+        (["enumerate", "--n", "4"], []),
+        (["f-exact", "--n", "3"], []),
+        (["--threads", "1", "estimate", "--g6", "Bw", "--trials", "30", "--seed", "1"],
+         ["numpy", "scipy", "scipy.special"]),
+    ]
+    for argv, loaded in cases:
+        run_main = "" if argv is None else f"main({argv!r}); "
+        code = f"import sys; from uniquesub.cli import main; {run_main}{report}"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                             text=True)
+        assert run.stdout.splitlines()[-1] == repr(loaded), argv
+
+
+_PREFORK_SCRIPT = """
+import sys
+
+from uniquesub.cli import _parallel_map
+
+
+def numpy_loaded_at_start(_):
+    return "numpy" in sys.modules
+
+
+if __name__ == "__main__":
+    print(_parallel_map(numpy_loaded_at_start, range(16), threads=2))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two cores")
+def test_pool_workers_inherit_numpy(tmp_path):
+    # numpy is loaded before the pool forks, so no worker imports it again.
+    import subprocess
+    import sys
+    script = tmp_path / "prefork.py"
+    script.write_text(_PREFORK_SCRIPT)
+    run = subprocess.run([sys.executable, str(script)], capture_output=True, check=True,
+                         text=True, timeout=120)
+    assert run.stdout == repr([True] * 16) + "\n"

@@ -1,21 +1,23 @@
 """embed-unique: counting, uniqueness predicates, f-values, estimates."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (brute_count_embeddings, brute_f_value, graph_from_mask,
-                     plain_count_embeddings, plain_unique_count)
+from oracles import (beta_ppf_interval, brute_count_embeddings, brute_f_value,
+                     graph_from_mask, plain_count_embeddings, plain_unique_count)
 from uniquesub import census, embedding
 from uniquesub.canon import aut_order, canonicalize
 from uniquesub.census import enumerate_unlabelled
-from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, count_embeddings,
-                                 count_subgraph_copies, estimate_unique_prob,
-                                 f_max_exact, f_of_h, f_table, has_unique_embedding,
-                                 is_unique_subgraph, verify_embedding)
+from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, clopper_pearson,
+                                 count_embeddings, count_subgraph_copies,
+                                 estimate_unique_prob, f_max_exact, f_of_h, f_table,
+                                 has_unique_embedding, is_unique_subgraph,
+                                 verify_embedding)
 from uniquesub.errors import DomainError
 from uniquesub.graphs import (Graph, complete_graph, empty_graph, from_edges,
                               pair_list, parse_graph6, path_graph)
@@ -274,6 +276,15 @@ class TestEstimate:
         rigid = next(g for g in enumerate_unlabelled(6) if aut_order(g) == 1)
         rep = estimate_unique_prob(rigid, trials=400, seed=17)
         assert rep.ci_low <= rep.estimate <= rep.ci_high
+
+    def test_interval_is_bit_identical_to_beta_ppf(self):
+        # Every successes count up to 60 trials, and 100 seeded counts at each
+        # larger size, including the montecarlo8 benchmark's 6000 trials.
+        rng = random.Random(2024)
+        grid = [(s, t) for t in range(1, 61) for s in range(t + 1)]
+        grid += [(s, t) for t in (150, 6000, 10000) for s in rng.sample(range(t + 1), 100)]
+        assert [clopper_pearson(s, t) for s, t in grid] == [beta_ppf_interval(s, t)
+                                                             for s, t in grid]
 
     def test_reproducible(self):
         a = estimate_unique_prob(path_graph(4), trials=100, seed=99)
