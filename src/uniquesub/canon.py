@@ -20,6 +20,10 @@ code and ``canon_map`` are those of the unpruned search.  When a
 first-path node is done, the automorphisms found generate its stabiliser,
 so by orbit-stabiliser |Aut| is the product over first-path nodes of the
 orbit size of the first child within its target cell.
+
+``canonicalize`` keeps no memo of the forms it computes: the search is
+deterministic, so a repeat call returns the same form, and no caller repeats
+a graph often enough for a table to pay for the memory it holds.
 """
 from __future__ import annotations
 
@@ -213,8 +217,14 @@ def decode_canon_bytes(data: bytes) -> Graph:
     return Graph(n, tuple(adj))
 
 
-@lru_cache(maxsize=1 << 16)
+# maxsize=0 stores nothing.  The wrapper stays only for the benchmark, whose
+# perfbench/run.py calls cache_clear() and cache_info() and whose
+# perfbench/tracing.py reads __wrapped__ (tests/test_bench_interface.py).
+@lru_cache(maxsize=0)
 def canonicalize(g: Graph) -> CanonicalForm:
+    """The canonical form of ``g``, computed afresh on every call: the census
+    canonicalises each augmentation once, so a memo made no hits in any
+    command.  The census's (canon_bytes, |Aut|) table is the one class table."""
     code, count, perm = _search(g.adj, g.n)
     return CanonicalForm(
         canon_bytes=_pack_code(g.n, code),

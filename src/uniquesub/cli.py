@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -251,15 +252,38 @@ def _report_payload(report: bounds_mod.BoundReport) -> dict[str, Any]:
             "bound": report.bound_value, "slack": report.slack}
 
 
+def _too_many_digits(option: str, given: int, limit: int) -> DomainError:
+    return DomainError(f"{option} {given}: the exact value has more than {limit} digits, "
+                       f"past Python's limit on printing integers")
+
+
 def _check_printable(value: Fraction, option: str, given: int) -> None:
     """Refuse an exact value whose numerator or denominator Python will not print."""
     limit = sys.get_int_max_str_digits()
     if limit and max(abs(value.numerator), value.denominator) >= 10 ** limit:
-        raise DomainError(f"{option} {given}: the exact value has more than {limit} digits, "
-                          f"past Python's limit on printing integers")
+        raise _too_many_digits(option, given, limit)
+
+
+def _refuse_oversize(log10_low: Callable[[], float], option: str, given: int) -> None:
+    """Refuse before evaluating when ``log10_low``, a lower bound on log10 of
+    the exact value's numerator or denominator, passes Python's limit on
+    printing integers by a whole digit; nearer the limit the value is built
+    and ``_check_printable`` decides.  A bound past the float range
+    (OverflowError) passes every limit."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return
+    try:
+        low = log10_low()
+    except OverflowError:
+        low = math.inf
+    if low >= limit + 1:
+        raise _too_many_digits(option, given, limit)
 
 
 def _cmd_binom_point_mass(args: argparse.Namespace) -> dict[str, Any]:
+    _refuse_oversize(lambda: bounds_mod.binomial_point_mass_log10(args.n_pairs),
+                     "--n-pairs", args.n_pairs)
     report = bounds_mod.binomial_point_mass_max(args.n_pairs)
     _check_printable(report.exact_value, "--n-pairs", args.n_pairs)
     return _report_payload(report)
@@ -279,6 +303,8 @@ def _cmd_azuma(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_expected_embeddings(args: argparse.Namespace) -> dict[str, Any]:
+    _refuse_oversize(lambda: bounds_mod.expected_embeddings_log10(args.n, args.e_h),
+                     "--n", args.n)
     value = bounds_mod.expected_embeddings(args.n, args.e_h)
     _check_printable(value, "--n", args.n)
     return {"name": "expected-embeddings", "inputs": {"n": args.n, "e_h": args.e_h},
@@ -286,6 +312,9 @@ def _cmd_expected_embeddings(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_density_decay(args: argparse.Namespace) -> dict[str, Any]:
+    _refuse_oversize(lambda: bounds_mod.density_decay_log10(args.e_h, args.n_pairs, args.steps,
+                                                            args.m_star),
+                     "--steps", args.steps)
     loose, sharp = bounds_mod.density_decay_bound(args.e_h, args.n_pairs, args.steps,
                                                   args.m_star)
     for value in (loose, sharp):
@@ -303,6 +332,8 @@ def _cmd_dense_case(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_union_budget(args: argparse.Namespace) -> dict[str, Any]:
+    if args.log_base is None:
+        _refuse_oversize(lambda: bounds_mod.union_budget_log10(args.n), "--n", args.n)
     value = bounds_mod.union_budget(args.n, args.log_base)
     if args.log_base is None:
         _check_printable(value, "--n", args.n)

@@ -2,14 +2,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, isclose
+from math import comb, factorial, isclose, log10
 
 import mpmath
 import pytest
 
-from uniquesub.bounds import (azuma_tail, binomial_point_mass_max, chernoff_l,
-                              dense_case_inequality, density_decay_bound,
-                              exact_edge_count_tail, expected_embeddings, union_budget)
+from uniquesub.bounds import (azuma_tail, binomial_point_mass_log10, binomial_point_mass_max,
+                              chernoff_l, dense_case_inequality, density_decay_bound,
+                              density_decay_log10, exact_edge_count_tail, expected_embeddings,
+                              expected_embeddings_log10, union_budget, union_budget_log10)
 from uniquesub.embedding import count_embeddings
 from uniquesub.errors import DomainError
 from uniquesub.graphs import from_edges, pair_list
@@ -233,3 +234,54 @@ class TestUnionBudget:
     def test_rejects_non_finite_log_base(self, log_base):
         with pytest.raises(DomainError, match="log base must be finite"):
             union_budget(3, log_base=log_base)
+
+
+def _log10_size(value: Fraction) -> float:
+    """log10 of the larger of the reduced numerator and denominator."""
+    return log10(max(value.numerator, value.denominator))
+
+
+class TestDigitLowerBounds:
+    """Each log10 bound stays at or below the exact value's size, so the CLI,
+    which refuses a value only when its bound passes the limit by a digit,
+    never refuses a printable one."""
+
+    def test_expected_embeddings(self):
+        for n in range(1, 26):
+            for e_h in range(n * (n - 1) // 2 + 1):
+                bound = expected_embeddings_log10(n, e_h)
+                assert bound <= _log10_size(expected_embeddings(n, e_h)) + 1e-9
+
+    def test_binomial_point_mass(self):
+        for total in [*range(1, 300), 1023, 1024, 1025, 4096, 14294]:
+            bound = binomial_point_mass_log10(total)
+            assert bound <= _log10_size(binomial_point_mass_max(total).exact_value) + 1e-9
+
+    def test_union_budget(self):
+        for n in [*range(1, 300), 1716]:
+            assert union_budget_log10(n) <= _log10_size(union_budget(n)) + 1e-9
+
+    def test_density_decay(self):
+        for total in range(13):
+            for e_h in range(total + 1):
+                for m_star in range(e_h + 1):
+                    for steps in (0, 1, 2, 7, 30):
+                        bound = density_decay_log10(e_h, total, steps, m_star)
+                        sizes = map(_log10_size, density_decay_bound(e_h, total, steps, m_star))
+                        assert bound <= max(sizes) + 1e-9
+
+    def test_validation_matches_the_evaluators(self):
+        for bound, evaluator, args in [
+            (expected_embeddings_log10, expected_embeddings, (0, 0)),
+            (expected_embeddings_log10, expected_embeddings, (4, 7)),
+            (binomial_point_mass_log10, binomial_point_mass_max, (0,)),
+            (union_budget_log10, union_budget, (0,)),
+            (density_decay_log10, density_decay_bound, (5, 4, 1)),
+            (density_decay_log10, density_decay_bound, (2, 4, -1)),
+            (density_decay_log10, density_decay_bound, (2, 4, 1, 3)),
+        ]:
+            with pytest.raises(DomainError) as want:
+                evaluator(*args)
+            with pytest.raises(DomainError) as got:
+                bound(*args)
+            assert str(got.value) == str(want.value)

@@ -1,6 +1,7 @@
 """enumerate: unlabelled streams, Polya ratios, automorphism fractions."""
 from __future__ import annotations
 
+import gc
 from collections import Counter
 from fractions import Fraction
 from math import factorial
@@ -159,3 +160,18 @@ def test_search_nodes_per_level(monkeypatch):
     finally:
         census._census.cache_clear()
     assert nodes == SEARCH_NODES
+
+
+def test_census_keeps_no_canonical_form_alive():
+    # The census's (canon_bytes, |Aut|) table is the only class table: each
+    # CanonicalForm dies with the augmentation that made it.  A memo on
+    # canonicalize would keep all 2,398 forms of census(1..7) alive.
+    def live_forms():
+        gc.collect()
+        return sum(isinstance(obj, canon.CanonicalForm) for obj in gc.get_objects())
+
+    census._census.cache_clear()
+    canonicalize.cache_clear()
+    before = live_forms()
+    census_entries(7)
+    assert live_forms() - before == 0

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 
@@ -243,6 +244,15 @@ class TestSwitchCommands:
                             "--pi", "0,1,2,3", "--pairs", "2,3")
         assert json.loads(out)["switch"] == [2, 3]
 
+    @pytest.mark.parametrize("pairs, vertex", [("0,1,5", 5), ("0,1,-1", -1), ("1,5", 5)])
+    def test_out_of_range_pair_member_exits_two(self, capsys, pairs, vertex):
+        # (0, 1) is a switch on A_, found before the scan reached the bad pair
+        code, out, err = run_cli(capsys, "switch", "--hc", "A_", "--g", "A_",
+                                 "--pi", "0,1", "--pairs", pairs)
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DomainError" and f"vertex {vertex} " in error["message"]
+
     def test_refine_t(self, capsys):
         code, out, _ = run_cli(capsys, "refine-t", "--hc", "C`", "--c", "1",
                                "--schedule", "1.0")
@@ -280,6 +290,70 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "chernoff-l", "--delta", "0.5", "--n", "170")
         assert code == 2
         assert json.loads(err)["error"]["message"].startswith("--n 170:")
+
+
+    # Each value here is far past the 4,300-digit limit: the command refuses it
+    # from a closed-form digit bound and never builds it.
+    @pytest.mark.parametrize("evaluator, argv, option", [
+        ("expected_embeddings", ["expected-embeddings", "--n", "10000", "--e-h", "0"],
+         "--n 10000"),
+        ("expected_embeddings", ["expected-embeddings", "--n", "40000", "--e-h", "0"],
+         "--n 40000"),
+        ("expected_embeddings", ["expected-embeddings", "--n", "1000000", "--e-h", "0"],
+         "--n 1000000"),
+        ("union_budget", ["union-budget", "--n", "300000"], "--n 300000"),
+        ("binomial_point_mass_max", ["binom-point-mass", "--n-pairs", "10000000"],
+         "--n-pairs 10000000"),
+        ("density_decay_bound", ["density-decay", "--e-h", "1", "--n-pairs", "3", "--steps",
+                                 "10000000"], "--steps 10000000"),
+        # past the float range, where the digit bound itself overflows
+        ("binomial_point_mass_max", ["binom-point-mass", "--n-pairs", str(10 ** 400)],
+         f"--n-pairs {10 ** 400}"),
+    ])
+    def test_oversize_value_is_refused_unbuilt(self, capsys, monkeypatch, evaluator, argv,
+                                               option):
+        def unbuilt(*args):
+            raise AssertionError(f"{evaluator} ran")
+
+        monkeypatch.setattr(cli.bounds_mod, evaluator, unbuilt)
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "DomainError",
+            "message": f"{option}: the exact value has more than "
+                       f"{sys.get_int_max_str_digits()} digits, past Python's limit on "
+                       f"printing integers"}
+
+    def test_unit_base_is_printable_at_any_step_count(self, capsys):
+        code, out, _ = run_cli(capsys, "bounds", "density-decay", "--e-h", "3", "--n-pairs", "3",
+                               "--steps", str(10 ** 400))
+        assert code == 0 and json.loads(out)["loose"] == {"num": 1, "den": 1}
+
+    def test_no_digit_limit_refuses_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        monkeypatch.setattr(cli.bounds_mod, "union_budget", lambda n, log_base: 1 / n)
+        code, out, _ = run_cli(capsys, "bounds", "union-budget", "--n", "300000")
+        assert code == 0 and json.loads(out)["exact"] == 1 / 300000
+
+    @pytest.mark.parametrize("argv, message", [
+        (["expected-embeddings", "--n", "100000", "--e-h", "-1"],
+         "edge count -1 outside 0..4999950000"),
+        (["density-decay", "--e-h", "4", "--n-pairs", "3", "--steps", "10000000"],
+         "edge count outside 0..total"),
+        (["density-decay", "--e-h", "1", "--n-pairs", "3", "--steps", "10000000",
+          "--m-star", "2"], "m_star must lie in 0..e_h"),
+    ])
+    def test_invalid_input_keeps_its_error(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2 and json.loads(err)["error"]["message"] == message
+
+    def test_values_near_the_limit_are_built(self, capsys):
+        # the largest printable sizes: 14,294 trials and 1,716 vertices
+        for argv in (["binom-point-mass", "--n-pairs", "14294"], ["union-budget", "--n", "1716"]):
+            code, _, _ = run_cli(capsys, "bounds", *argv)
+            assert code == 0
+        code, _, err = run_cli(capsys, "bounds", "binom-point-mass", "--n-pairs", "14295")
+        assert code == 2 and "more than" in json.loads(err)["error"]["message"]
 
 
 class TestIngest:

@@ -138,6 +138,14 @@ class TestFindSwitch:
                 if is_pi_switch(ctx, *p) and p[0] in members and p[1] in members]
         assert restricted == full[0]
 
+    @pytest.mark.parametrize("pairs, vertex", [([(0, 1), (0, 5)], 5), ([(0, 1), (-1, 2)], -1),
+                                               ([(0, 1), (3, 3)], 3)])
+    def test_every_candidate_is_checked_before_the_scan(self, pairs, vertex):
+        # (0, 1) is a switch, so a scan would stop before reaching the bad pair
+        ctx = SwitchContext(path_graph(4), complete_graph(4), _identity(4))
+        with pytest.raises(DomainError, match=rf"vertex {vertex}\b"):
+            find_switch(ctx, pairs)
+
 
 class TestSwitchProbability:
     def test_identical_neighbourhoods(self):
