@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .graphs import Graph, VertexMap
+from .graphs import Graph, VertexMap, from_edges, pair_list
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
     npairs = n * (n - 1) // 2
     orbit = list(range(n))  # union-find: orbits of the automorphisms found so far
     path: list[int] = []  # the vertices individualised from the root to the current node
-    # (code, labelling, path) of the first leaf and of the best leaf so far
+    # (code, vertex order, path) of the first leaf and of the best leaf so far
     first: tuple[int, list[int], tuple[int, ...]] = (-1, [], ())
     best = first
 
@@ -94,22 +94,13 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
             v = orbit[v]
         return v
 
-    def join(perm_a: list[int], perm_b: list[int]) -> None:
-        """Merge orbits along the automorphism taking leaf a's labelling to leaf b's."""
-        at = [0] * n
-        for v, pos in enumerate(perm_b):
-            at[pos] = v
-        for v in range(n):
-            a = find(v)
-            b = find(at[perm_a[v]])
+    def join(order_a: list[int], order_b: list[int]) -> None:
+        """Merge orbits along the automorphism that sends the vertex at each
+        position of leaf a's vertex order to the one at that position of b's."""
+        for u, v in zip(order_a, order_b):
+            a, b = find(u), find(v)
             if a != b:
                 orbit[max(a, b)] = min(a, b)
-
-    def labelling(cells: list[list[int]]) -> list[int]:
-        perm = [0] * n
-        for pos, cell in enumerate(cells):
-            perm[cell[0]] = pos
-        return perm
 
     def child(cells: list[list[int]], target: int, v: int) -> list[list[int]]:
         rest = [w for w in cells[target] if w != v]
@@ -140,7 +131,7 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
         nonlocal first, best
         target, rows, code = settle(cells, rows, code)
         if target < 0:
-            first = best = (code, labelling(cells), tuple(path))
+            first = best = (code, [cell[0] for cell in cells], tuple(path))
             return 1
         cell = cells[target]
         path.append(cell[0])
@@ -179,13 +170,13 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
             # An automorphism fixing the common prefix of the two paths: the
             # subtree below it holding this leaf copies the one holding the other.
             other = first if code == first[0] else best
-            join(other[1], labelling(cells))
+            join(other[1], [cell[0] for cell in cells])
             return next(d for d, (a, b) in enumerate(zip(path, other[2])) if a != b)
-        best = (code, labelling(cells), tuple(path))
+        best = (code, [cell[0] for cell in cells], tuple(path))
         return len(path)
 
     order = first_path(_refine(adj, [list(range(n))]), 0, 0)
-    return best[0], order, best[1]
+    return best[0], order, sorted(range(n), key=best[1].__getitem__)  # vertex -> position
 
 
 def _pack_code(n: int, code: int) -> bytes:
@@ -206,15 +197,8 @@ def decode_canon_bytes(data: bytes) -> Graph:
     if len(data) != 1 + nbytes:
         raise DomainError("canonical encoding has wrong length")
     code = int.from_bytes(data[1:], "big") >> (8 * nbytes - npairs)
-    adj = [0] * n
-    rank = 0
-    for a in range(n):
-        for b in range(a + 1, n):
-            if code >> (npairs - 1 - rank) & 1:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            rank += 1
-    return Graph(n, tuple(adj))
+    return from_edges(n, [pair for rank, pair in enumerate(pair_list(n))
+                          if code >> (npairs - 1 - rank) & 1])
 
 
 # maxsize=0 stores nothing.  The wrapper stays only for the benchmark, whose

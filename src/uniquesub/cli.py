@@ -80,6 +80,11 @@ def _need_seed(args: argparse.Namespace) -> int:
     return args.seed if args.seed is not None else secrets.randbits(63)
 
 
+def _tokens(text: str) -> list[str]:
+    """The items of a comma-separated option; an empty option has none."""
+    return text.split(",") if text else []
+
+
 def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -205,8 +210,8 @@ def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
     pi = VertexMap(hc.n, hc.n, tuple(int(tok) for tok in args.pi.split(",")))
     ctx = SwitchContext(hc, g, pi)
     pairs = None
-    if args.pairs:
-        members = [int(tok) for tok in args.pairs.split(",")]
+    if args.pairs is not None:
+        members = [int(tok) for tok in _tokens(args.pairs)]
         pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1:] if u != v]
     found = find_switch(ctx, pairs)
     payload: dict[str, Any] = {
@@ -227,8 +232,8 @@ def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_refine_t(args: argparse.Namespace) -> dict[str, Any]:
     hc = parse_graph6(args.hc)
     dc = classify_degrees(hc, args.c)
-    if args.schedule:
-        schedule = [float(tok) for tok in args.schedule.split(",")]
+    if args.schedule is not None:
+        schedule = [float(tok) for tok in _tokens(args.schedule)]
     else:
         schedule = default_schedule(len(dc.b_prime), args.c)
     result = refine_t(hc, dc.b_prime, schedule)

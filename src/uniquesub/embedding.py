@@ -274,7 +274,7 @@ def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
 def unique_trial(h: Graph, seed: int, index: int) -> bool:
     """Trial ``index``: does G(n, 1/2) drawn from stream (seed, index) embed
     into ``h`` in exactly one way?"""
-    return count_embeddings(gnp_half(h.n, derive_rng(seed, index)), h, early_exit_at=2).is_one
+    return has_unique_embedding(gnp_half(h.n, derive_rng(seed, index)), h)
 
 
 def estimate_report(successes: int, trials: int, seed: int) -> EstimateReport:

@@ -158,11 +158,7 @@ def complement(g: Graph) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply a permutation: result has edge ``perm[u] perm[v]`` iff ``uv`` in ``g``."""
-    adj = [0] * g.n
-    for u, v in g.edges():
-        adj[perm[u]] |= 1 << perm[v]
-        adj[perm[v]] |= 1 << perm[u]
-    return Graph(g.n, tuple(adj))
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
@@ -172,15 +168,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
         raise DomainError("induced subgraph needs at least one vertex")
     if sel[-1] >= g.n or sel[0] < 0:
         raise DomainError(f"vertex {sel[-1] if sel[-1] >= g.n else sel[0]} outside graph of order {g.n}")
-    k = len(sel)
     pos = {v: i for i, v in enumerate(sel)}
-    adj = [0] * k
-    for i, v in enumerate(sel):
-        row = g.adj[v]
-        for w in sel:
-            if row >> w & 1:
-                adj[i] |= 1 << pos[w]
-    return Graph(k, tuple(adj))
+    return from_edges(len(sel), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -244,12 +233,8 @@ def parse_graph6(data: bytes | str) -> Graph:
     if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
     bits >>= pad
-    adj = [0] * n
-    for idx, (i, j) in enumerate(_column_major_pairs(n)):
-        if bits >> (npairs - 1 - idx) & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return from_edges(n, [pair for idx, pair in enumerate(_column_major_pairs(n))
+                          if bits >> (npairs - 1 - idx) & 1])
 
 
 def emit_graph6(g: Graph) -> bytes:

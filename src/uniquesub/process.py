@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .embedding import CountOutcome, count_embeddings
 from .errors import DomainError
-from .graphs import Graph, MAX_VERTICES
+from .graphs import Graph, MAX_VERTICES, from_edges
 from .sampling import derive_rng, random_pair_order
 
 
@@ -35,11 +35,7 @@ class ProcessTrace:
     def graph_at(self, m: int) -> Graph:
         if not 0 <= m <= self.total_pairs:
             raise DomainError(f"step {m} outside 0..{self.total_pairs}")
-        adj = [0] * self.n
-        for u, v in self.edge_order[:m]:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
+        return from_edges(self.n, self.edge_order[:m])
 
 
 @dataclass(frozen=True)

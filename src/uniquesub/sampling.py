@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, pair_list
+from .graphs import Graph, from_edges, pair_list
 
 if TYPE_CHECKING:
     import numpy as np
@@ -33,12 +33,7 @@ def gnp_half(n: int, rng: np.random.Generator) -> Graph:
     """Uniform labelled graph on n vertices (each pair an edge with prob 1/2)."""
     pairs = pair_list(n)
     raw = rng.bytes((len(pairs) + 7) // 8)
-    adj = [0] * n
-    for idx, (u, v) in enumerate(pairs):
-        if raw[idx >> 3] >> (idx & 7) & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return from_edges(n, [pair for idx, pair in enumerate(pairs) if raw[idx >> 3] >> (idx & 7) & 1])
 
 
 def random_pair_order(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import isfinite, ldexp
 from typing import Iterable, Sequence
 
+from .embedding import verify_embedding
 from .errors import DomainError
 from .graphs import Graph, VertexMap, _bits
 
@@ -57,7 +58,7 @@ def is_pi_switch(ctx: SwitchContext, u: int, v: int) -> bool:
 
 def is_embedding(ctx: SwitchContext) -> bool:
     """Does pi map every Hc-edge onto a G-edge?"""
-    return all(ctx.g.has_edge(ctx.pi.apply(x), ctx.pi.apply(y)) for x, y in ctx.hc.edges())
+    return verify_embedding(ctx.hc, ctx.g, ctx.pi)
 
 
 def apply_switch(ctx: SwitchContext, u: int, v: int) -> VertexMap:
@@ -71,8 +72,7 @@ def apply_switch(ctx: SwitchContext, u: int, v: int) -> VertexMap:
     image = list(ctx.pi.image)
     image[a], image[b] = v, u
     swapped = VertexMap(ctx.pi.n_from, ctx.pi.n_to, tuple(image))
-    check = SwitchContext(ctx.hc, ctx.g, swapped)
-    if not is_embedding(check):
+    if not verify_embedding(ctx.hc, ctx.g, swapped):
         raise AssertionError("switched map failed embedding verification")
     return swapped
 

@@ -244,6 +244,14 @@ class TestSwitchCommands:
                             "--pi", "0,1,2,3", "--pairs", "2,3")
         assert json.loads(out)["switch"] == [2, 3]
 
+    @pytest.mark.parametrize("pairs", ["", "2"])
+    def test_pair_free_vertex_set_has_no_switch(self, capsys, pairs):
+        # the empty set restricts the scan like any other, to no pair at all
+        code, out, _ = run_cli(capsys, "switch", "--hc", "C`", "--g", "C~",
+                               "--pi", "0,1,2,3", "--pairs", pairs)
+        payload = json.loads(out)
+        assert code == 0 and payload["switch"] is None and "switched_pi" not in payload
+
     @pytest.mark.parametrize("pairs, vertex", [("0,1,5", 5), ("0,1,-1", -1), ("1,5", 5)])
     def test_out_of_range_pair_member_exits_two(self, capsys, pairs, vertex):
         # (0, 1) is a switch on A_, found before the scan reached the bad pair
@@ -260,6 +268,13 @@ class TestSwitchCommands:
         assert code == 0
         assert payload["b_prime"] == [0, 2]
         assert payload["depth"] in (0, 1)
+
+    def test_empty_schedule_exits_two(self, capsys):
+        code, out, err = run_cli(capsys, "refine-t", "--hc", "C`", "--c", "1",
+                                 "--schedule", "")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"message": "threshold schedule must be non-empty",
+                                            "type": "DomainError"}
 
 
 class TestBoundsCommand:

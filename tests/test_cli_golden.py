@@ -65,10 +65,13 @@ CASES: dict[str, list[str]] = {
     "switch": ["switch", "--hc", "C`", "--g", "C~", "--pi", "0,1,2,3"],
     "switch-pairs": ["switch", "--hc", "C`", "--g", "C~", "--pi", "0,1,2,3",
                      "--pairs", "2,3"],
+    "switch-pairs-empty": ["switch", "--hc", "C`", "--g", "C~", "--pi", "0,1,2,3",
+                           "--pairs", ""],
     "switch-not-embedding": ["switch", "--hc", "C~", "--g", "C`", "--pi", "0,1,2,3"],
     "switch-bad-perm": ["switch", "--hc", "C`", "--g", "C~", "--pi", "a,b,c,d"],
     "switch-not-bijection": ["switch", "--hc", "C`", "--g", "C~", "--pi", "0,0,1,2"],
     "refine-t-schedule": ["refine-t", "--hc", "C`", "--c", "1", "--schedule", "1.0"],
+    "refine-t-schedule-empty": ["refine-t", "--hc", "C`", "--c", "1", "--schedule", ""],
     "refine-t-default": ["refine-t", "--hc", "C`", "--c", "1"],
     "refine-t-c-negative": ["refine-t", "--hc", "C`", "--c", "-1"],
     "refine-t-c-nan": ["refine-t", "--hc", "C`", "--c", "nan"],

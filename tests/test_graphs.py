@@ -145,6 +145,23 @@ def test_relabel_preserves_structure():
     assert sorted(h.degree(v) for v in range(4)) == sorted(g.degree(v) for v in range(4))
 
 
+@given(small_graphs(), st.data())
+def test_relabel_maps_each_pair(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    h = relabel(g, perm)
+    assert all(h.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
+               for u, v in pair_list(g.n))
+
+
+@given(small_graphs(), st.data())
+def test_induced_subgraph_keeps_pairs_inside(g, data):
+    sel = sorted(data.draw(st.sets(st.integers(0, g.n - 1), min_size=1)))
+    h = induced_subgraph(g, sel)
+    assert h.n == len(sel)
+    assert all(h.has_edge(i, j) == g.has_edge(sel[i], sel[j])
+               for i, j in pair_list(len(sel)))
+
+
 class TestGraph6AgainstNetworkx:
     def test_all_classes_up_to_six(self):
         import networkx as nx

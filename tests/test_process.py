@@ -12,7 +12,7 @@ from uniquesub.canon import aut_order
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import count_embeddings
 from uniquesub.errors import DomainError
-from uniquesub.graphs import complete_graph, pair_list
+from uniquesub.graphs import complete_graph, emit_graph6, pair_list
 from uniquesub.process import (ProcessTrace, embedding_trajectory, sample_trace,
                                supergraph_completion_prob, uniqueness_interval,
                                x_statistic)
@@ -32,6 +32,11 @@ class TestTrace:
     def test_reproducible_and_indexed(self):
         assert sample_trace(5, 7).edge_order == sample_trace(5, 7).edge_order
         assert sample_trace(5, 7, index=0).edge_order != sample_trace(5, 7, index=1).edge_order
+
+    def test_pinned_steps(self):
+        tr = sample_trace(8, 1, 0)
+        assert [emit_graph6(tr.graph_at(m)) for m in (0, 14, 28)] == [
+            b"G?????", b"GPY}FO", b"G~~~~{"]
 
     def test_uniformity_chi_square_n4_m3(self):
         # classes of 3-edge graphs on 4 vertices: triangle 4/20, star 4/20, path 12/20

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import chi2
 
-from uniquesub.graphs import pair_list
+from uniquesub.graphs import emit_graph6, pair_list
 from uniquesub.sampling import derive_rng, gnp_half, random_pair_order
 
 
@@ -36,6 +36,12 @@ def test_streams_are_separated_and_reproducible():
     again = gnp_half(6, derive_rng(4242, 0))
     assert a == again
     assert a != b  # overwhelmingly likely; frozen by the fixed seed
+
+
+def test_gnp_half_pinned_samples():
+    # each random byte's bits, lowest first, are the row-major pairs in turn
+    assert [emit_graph6(gnp_half(8, derive_rng(1, i))) for i in range(4)] == [
+        b"G{NvPW", b"GCeeCG", b"GvBE|o", b"GazLD?"]
 
 
 def test_random_pair_order_is_permutation_with_uniform_start():
