@@ -14,23 +14,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import secrets
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import mpmath
 
 from . import __version__
 from . import bounds as bounds_mod
-from .census import MAX_ENUMERATION_N, enumerate_unlabelled, nontrivial_aut_fraction, polya_report
+from .census import (MAX_ENUMERATION_N, census_entries, enumerate_unlabelled,
+                     nontrivial_aut_fraction, polya_report)
 from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h, f_table,
                         unique_trial)
 from .errors import DomainError, UniquesubError
 from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
+from .parallel import parallel_map
 from .process import embedding_trajectory, sample_trace, uniqueness_interval, x_statistic
 from .switching import (SwitchContext, apply_switch, classify_degrees, default_schedule,
                         find_switch, is_embedding, refine_t, required_pairs,
@@ -60,20 +60,13 @@ def _universe(args: argparse.Namespace) -> str:
     return SPANNING_ONLY if args.spanning else ALL_SIZES
 
 
-def _parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
-                  threads: int | None) -> list[Any]:
-    """``[fn(x) for x in items]``, on at most ``threads`` workers (default: all
-    cores), no more than there are cores, and each given at least four items."""
-    cores = os.cpu_count() or 1
-    workers = min(cores if threads is None else threads, cores, len(items) // 4)
-    if workers <= 1:
-        return [fn(x) for x in items]
-    chunk = max(1, len(items) // (workers * 4))
-    # The work units sample with numpy: loaded before the pool forks, it is
-    # inherited by every worker instead of imported again by each.
+def _sampling_map(fn: Callable[[Any], Any], work: Sequence[Any],
+                  threads: int | None) -> Iterator[Any]:
+    """``parallel_map`` for work units that sample with numpy: loaded before
+    the pool forks, it is inherited by every worker instead of imported again
+    by each.  Only ``estimate`` and ``process`` load it."""
     import numpy  # noqa: F401
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
+    return parallel_map(fn, work, threads)
 
 
 def _need_seed(args: argparse.Namespace) -> int:
@@ -98,6 +91,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
+    census_entries(args.n, args.threads)  # builds the census on --threads workers
     lines = [emit_graph6(g).decode() for g in enumerate_unlabelled(args.n)]
     payload = {"n": args.n, "count": len(lines), "graphs": lines}
     if args.out:
@@ -115,6 +109,7 @@ def _render_enumerate(payload: dict[str, Any]) -> str:
 
 
 def _cmd_polya(args: argparse.Namespace) -> dict[str, Any]:
+    census_entries(args.n, args.threads)  # builds the census on --threads workers
     rep = polya_report(args.n)
     frac = nontrivial_aut_fraction(args.n)
     return {
@@ -148,6 +143,7 @@ def _cmd_f_exact(args: argparse.Namespace) -> dict[str, Any]:
 
 def _cmd_f_of_h(args: argparse.Namespace) -> dict[str, Any]:
     h = parse_graph6(args.g6)
+    census_entries(h.n, args.threads)  # builds the census on --threads workers
     return _f_entry(f_of_h(h, _universe(args)))
 
 
@@ -160,7 +156,7 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
     parse_graph6(args.g6)  # a bad host fails here, before any worker starts
     seed = _need_seed(args)
     work = [(args.g6, seed, i) for i in range(args.trials)]
-    wins = _parallel_map(_estimate_trial, work, args.threads)
+    wins = _sampling_map(_estimate_trial, work, args.threads)
     rep = estimate_report(sum(wins), args.trials, seed)
     return {
         "h_g6": args.g6,
@@ -196,7 +192,7 @@ def _cmd_process(args: argparse.Namespace) -> dict[str, Any]:
     parse_graph6(args.g6)  # a bad host fails here, before any worker starts
     seed = _need_seed(args)
     work = [(args.g6, seed, i, args.L, args.scan_all) for i in range(args.traces)]
-    records = _parallel_map(_process_one, work, args.threads)
+    records = list(_sampling_map(_process_one, work, args.threads))
     return {"h_g6": args.g6, "seed": seed, "traces": records}
 
 

@@ -9,7 +9,7 @@ from math import factorial
 import pytest
 
 from oracles import bucket_all_labelled, unfiltered_census
-from uniquesub import canon, census
+from uniquesub import canon, census, parallel
 from uniquesub.canon import canonicalize
 from uniquesub.census import (MAX_ENUMERATION_N, aut_orders, census_entries,
                               enumerate_unlabelled, nontrivial_aut_fraction, polya_report,
@@ -175,3 +175,52 @@ def test_census_keeps_no_canonical_form_alive():
     before = live_forms()
     census_entries(7)
     assert live_forms() - before == 0
+
+
+class TestWorkerMap:
+    """The top level on the library's worker map, here from order 6 up so
+    that no test builds level 8 for it."""
+
+    @pytest.fixture(autouse=True)
+    def pool_from_six(self, monkeypatch, fresh_census):
+        monkeypatch.setattr(census, "POOL_MIN_N", 6)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+
+    def test_serial_level_answers_a_threaded_call(self, pools):
+        serial = census_entries(6)
+        assert census_entries(6, threads=2) is serial
+        assert census_entries(6, threads=None) is serial
+        assert pools == []
+
+    def test_threaded_level_answers_a_serial_call(self, pools):
+        pooled = census_entries(6, threads=2)
+        assert pools == [2]
+        assert census_entries(6) is pooled
+        assert census_entries(6, threads=None) is pooled
+        assert pools == [2]
+
+    def test_only_the_top_level_goes_on_the_map(self, pools):
+        census_entries(7, threads=2)
+        assert pools == [2]  # level 7's; level 6 was built in this process
+
+    def test_cache_clear_forgets_every_level(self, monkeypatch, pools):
+        census_entries(6, threads=2)
+        census._census.cache_clear()
+        calls: Counter[int] = Counter()
+
+        def counting(g):
+            calls[g.n] += 1
+            return canonicalize(g)
+
+        monkeypatch.setattr(census, "canonicalize", counting)
+        census_entries(6, threads=2)
+        assert pools == [2, 2]
+        assert calls == {n: CANONICALIZE_CALLS[n] for n in range(1, 7)}
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_pooled_level_equals_serial(self, monkeypatch, n):
+        # a real pool of two workers
+        monkeypatch.setattr(census, "POOL_MIN_N", n)
+        serial = census_entries(n)
+        census._census.cache_clear()
+        assert census_entries(n, threads=2) == serial

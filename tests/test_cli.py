@@ -1,16 +1,21 @@
 """cli-harness: subcommand surfaces, records, determinism, corpus ingestion."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
 
 import pytest
 
-from uniquesub import cli, embedding, ingest_corpus, process
+from uniquesub import census, cli, embedding, ingest_corpus, parallel, process
 from uniquesub.cli import main
 from uniquesub.errors import Graph6Error
 from uniquesub.switching import RefinementResult
+
+
+# sha256 of ``enumerate --n 8 --out``, as perfbench/workloads.py pins it.
+CENSUS8_SHA256 = "cb8f7a3f9e37e055c4555501c61cb2487ff4e2d1f5287b8510c5a2435c942d28"
 
 
 def run_cli(capsys, *argv):
@@ -189,28 +194,6 @@ class TestOnePathPerCommand:
         assert exc.value.code == 2
         assert "positive integer" in err and "Traceback" not in err
 
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        """The worker count of each pool the CLI asks for; the stand-in maps
-        in this process, so no pool starts."""
-        created = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        return created
-
     @pytest.mark.parametrize("cores, trials, workers", [(3, 64, 3), (64, 20, 5)])
     def test_pool_is_capped_by_cores_and_items(self, capsys, monkeypatch, pools, cores,
                                                trials, workers):
@@ -218,15 +201,49 @@ class TestOnePathPerCommand:
         of the items."""
         argv = ("estimate", "--g6", "D?{", "--trials", str(trials), "--seed", "5")
         _, serial, _ = run_cli(capsys, "--threads", "1", *argv)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cores)
         _, pooled, _ = run_cli(capsys, "--threads", "64", *argv)
         assert pools == [workers]
         assert pooled == serial
 
     def test_pool_defaults_to_all_cores(self, capsys, monkeypatch, pools):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
         code, _, _ = run_cli(capsys, "estimate", "--g6", "D?{", "--trials", "64", "--seed", "5")
         assert code == 0 and pools == [3]
+
+    def test_enumerate_pool_defaults_to_all_cores(self, capsys, monkeypatch, pools,
+                                                  fresh_census):
+        # Level 6 goes on the map here so that the test need not build level 8;
+        # its 34 parents allow 8 workers, so the 3 cores cap the pool.
+        _, serial, _ = run_cli(capsys, "enumerate", "--n", "6")
+        census._census.cache_clear()
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(census, "POOL_MIN_N", 6)
+        code, pooled, _ = run_cli(capsys, "enumerate", "--n", "6")
+        assert code == 0 and pools == [3]
+        assert pooled == serial
+
+    def test_census_below_eight_starts_no_pool(self, capsys, monkeypatch, pools, fresh_census):
+        # On two cores level 7 took 313-339 ms in one process against 296 ms
+        # on two workers: too close to pay for the pool.
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "7")
+        assert code == 0 and len(out.splitlines()) == 1044
+        assert pools == []
+
+    def test_enumerate_file_is_thread_invariant(self, capsys, tmp_path):
+        """The n=8 census written at one thread and at two is the same file:
+        the one the benchmark's census8 workload pins.  The memo is left
+        holding the levels built last."""
+        digests = set()
+        for threads in ("1", "2"):
+            census._census.cache_clear()
+            target = tmp_path / f"g8-{threads}.g6"
+            code, _, _ = run_cli(capsys, "--threads", threads, "enumerate", "--n", "8",
+                                 "--out", str(target))
+            assert code == 0
+            digests.add(hashlib.sha256(target.read_bytes()).hexdigest())
+        assert digests == {CENSUS8_SHA256}
 
 
 class TestSwitchCommands:
@@ -478,12 +495,13 @@ def test_replay_identical_across_processes():
 
 def test_cli_import_leaves_scipy_unloaded():
     # Each command imports only what it runs: numpy (about 0.15 s) only where it
-    # samples, and for estimate's interval scipy.special, never the 1 s scipy.stats.
+    # samples, for estimate's interval scipy.special, never the 1 s scipy.stats,
+    # and the process pool (about 27 ms) only where a map starts one.
     # Each check runs in a fresh interpreter.
     import subprocess
     import sys
-    report = ("print(sorted(m for m in ('numpy', 'scipy', 'scipy.special', 'scipy.stats')"
-              " if m in sys.modules))")
+    report = ("print(sorted(m for m in ('numpy', 'scipy', 'scipy.special', 'scipy.stats',"
+              " 'multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
     cases = [
         (None, []),
         (["bounds", "union-budget", "--n", "2"], []),
@@ -503,25 +521,72 @@ def test_cli_import_leaves_scipy_unloaded():
 _PREFORK_SCRIPT = """
 import sys
 
-from uniquesub.cli import _parallel_map
+from uniquesub.cli import _sampling_map
+from uniquesub.parallel import parallel_map
 
 
-def numpy_loaded_at_start(_):
+def numpy_loaded(_):
     return "numpy" in sys.modules
 
 
 if __name__ == "__main__":
-    print(_parallel_map(numpy_loaded_at_start, range(16), threads=2))
+    print(list(parallel_map(numpy_loaded, range(16), threads=2)))
+    print(list(_sampling_map(numpy_loaded, range(16), threads=2)))
 """
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two cores")
 def test_pool_workers_inherit_numpy(tmp_path):
-    # numpy is loaded before the pool forks, so no worker imports it again.
+    # The sampling work units' map loads numpy before the pool forks, so no
+    # worker imports it again; the library map alone loads nothing.
     import subprocess
     import sys
     script = tmp_path / "prefork.py"
     script.write_text(_PREFORK_SCRIPT)
     run = subprocess.run([sys.executable, str(script)], capture_output=True, check=True,
                          text=True, timeout=120)
-    assert run.stdout == repr([True] * 16) + "\n"
+    assert run.stdout.splitlines() == [repr([False] * 16), repr([True] * 16)]
+
+
+_POOLED_CENSUS_SCRIPT = """
+import os
+import sys
+
+from uniquesub import census
+from uniquesub.cli import main
+
+children = census._children
+
+
+def reporting_children(work):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()} {'numpy' in sys.modules}\\n")
+    return children(work)
+
+
+if __name__ == "__main__":
+    census._children = reporting_children
+    census.POOL_MIN_N = 6  # level 6 on the map, as level 8 would be
+    main(["--threads", "2", "enumerate", "--n", "6"])
+    print(os.getpid(), "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two cores")
+def test_pooled_census_loads_no_numpy(tmp_path):
+    # numpy costs about 0.19 s and 14 MB of RSS per process: a census worker
+    # inherits the parent's modules and must find numpy in neither.
+    import subprocess
+    import sys
+    script = tmp_path / "census_pool.py"
+    script.write_text(_POOLED_CENSUS_SCRIPT)
+    log = tmp_path / "units.txt"
+    run = subprocess.run([sys.executable, str(script), str(log)], capture_output=True,
+                         check=True, text=True, timeout=120)
+    lines = run.stdout.splitlines()
+    assert len(lines) == 157  # 156 graph6 lines, then the parent's report
+    parent, parent_numpy = lines[-1].split()
+    units = [line.split() for line in log.read_text().splitlines()]
+    # Levels 2-5 run their 1 + 2 + 4 + 11 units here, level 6 its 34 in workers.
+    assert [pid == parent for pid, _ in units] == [True] * 18 + [False] * 34
+    assert parent_numpy == "False" and {numpy for _, numpy in units} == {"False"}
