@@ -27,7 +27,7 @@ a graph often enough for a table to pay for the memory it holds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -37,11 +37,17 @@ from .graphs import Graph, VertexMap, from_edges, pair_list
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """``canon_bytes`` equal iff isomorphic; ``canon_map`` realizes the relabelling."""
+    """``canon_bytes`` equal iff isomorphic; ``canon_map`` realizes the relabelling.
+
+    ``generators`` are automorphisms of the input graph, each a tuple whose
+    entry u is the image of vertex u, that together generate Aut(G).  The
+    search finds them in its own order, so one group has many generating
+    sets: they take no part in comparing forms."""
 
     canon_bytes: bytes
     aut_order: int
     canon_map: VertexMap
+    generators: tuple[tuple[int, ...], ...] = field(compare=False)
 
 
 def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
@@ -80,9 +86,11 @@ def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
+def _search(adj: tuple[int, ...], n: int
+            ) -> tuple[int, int, list[int], tuple[tuple[int, ...], ...]]:
     npairs = n * (n - 1) // 2
     orbit = list(range(n))  # union-find: orbits of the automorphisms found so far
+    found: list[tuple[int, ...]] = []  # those automorphisms, as vertex -> image
     path: list[int] = []  # the vertices individualised from the root to the current node
     # (code, vertex order, path) of the first leaf and of the best leaf so far
     first: tuple[int, list[int], tuple[int, ...]] = (-1, [], ())
@@ -97,10 +105,13 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
     def join(order_a: list[int], order_b: list[int]) -> None:
         """Merge orbits along the automorphism that sends the vertex at each
         position of leaf a's vertex order to the one at that position of b's."""
+        image = [0] * n
         for u, v in zip(order_a, order_b):
+            image[u] = v
             a, b = find(u), find(v)
             if a != b:
                 orbit[max(a, b)] = min(a, b)
+        found.append(tuple(image))
 
     def child(cells: list[list[int]], target: int, v: int) -> list[list[int]]:
         rest = [w for w in cells[target] if w != v]
@@ -176,7 +187,8 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, list[int]]:
         return len(path)
 
     order = first_path(_refine(adj, [list(range(n))]), 0, 0)
-    return best[0], order, sorted(range(n), key=best[1].__getitem__)  # vertex -> position
+    position = sorted(range(n), key=best[1].__getitem__)  # vertex -> position
+    return best[0], order, position, tuple(found)
 
 
 def _pack_code(n: int, code: int) -> bytes:
@@ -209,11 +221,12 @@ def canonicalize(g: Graph) -> CanonicalForm:
     """The canonical form of ``g``, computed afresh on every call: the census
     canonicalises each augmentation once, so a memo made no hits in any
     command.  The census's (canon_bytes, |Aut|) table is the one class table."""
-    code, count, perm = _search(g.adj, g.n)
+    code, count, perm, generators = _search(g.adj, g.n)
     return CanonicalForm(
         canon_bytes=_pack_code(g.n, code),
         aut_order=count,
         canon_map=VertexMap(g.n, g.n, tuple(perm)),
+        generators=generators,
     )
 
 

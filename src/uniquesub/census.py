@@ -18,6 +18,16 @@ labelling is canonicalised, so every table is the unfiltered one (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 1998, with a vertex
 invariant in place of the canonical-deletion test).
 
+Of the masks that pass, one per orbit of the parent's automorphism group is
+canonicalised.  For an automorphism g of the parent P, g extended to fix
+the new vertex maps child(P, m) onto child(P, g(m)), so a mask's whole
+orbit gives one class; phi is an isomorphism invariant, so the filter
+passes all of an orbit or none of it.  The unit canonicalises the parent
+once for generators of Aut(P), walks the masks in ascending order, and
+after canonicalising a child marks its mask's orbit, the closure under the
+generators' images, as done.  Only repeat labellings are dropped, and the
+merge and sort below are unchanged, so every table is the same.
+
 The top level can be split by parent: a parent's children depend on its
 canonical bytes alone, so each parent is one work unit on the library's
 worker map and returns its own {canon_bytes: |Aut|} children.  The merge
@@ -39,10 +49,11 @@ from .graphs import Graph, _bits
 from .parallel import parallel_map
 
 MAX_ENUMERATION_N = 9
-# The lowest level built on the worker map.  On a 2-vCPU VM, level 6 took
-# 29-32 ms in one process against 59 ms on two workers, level 7 313-339 ms
-# against 296 ms (too little for a pool's start-up to pay), and level 8
-# 3.4-4.0 s against 2.05-2.3 s.
+# The lowest level built on the worker map.  On a 2-vCPU VM (seven runs
+# each, levels below prebuilt), level 6 took 33-36 ms in one process against
+# 53-60 ms on two workers, level 7 240-280 ms against 165-285 ms (medians
+# 255 and 261 ms: too little for a pool's start-up to pay), and level 8
+# 2.5-2.8 s against 1.48-1.52 s.
 POOL_MIN_N = 8
 
 
@@ -67,15 +78,19 @@ def _new_vertex_minimises(adj: tuple[int, ...], deg: list[int], nbr_sum: list[in
 
 def _children(work: tuple[bytes, int]) -> dict[bytes, int]:
     """{canon_bytes: aut_order} of the order-n children of one order-(n-1)
-    class, given as (its canonical bytes, n): the census's work unit."""
+    class, given as (its canonical bytes, n): the census's work unit.  One
+    attachment mask per orbit of the parent's automorphism group is
+    canonicalised, the first of the orbit in ascending order."""
     parent_bytes, n = work
     parent = decode_canon_bytes(parent_bytes)
+    generators = canonicalize(parent).generators
     deg = [row.bit_count() for row in parent.adj]
     nbr_sum = [sum(deg[w] for w in _bits(row)) for row in parent.adj]
     base = list(parent.adj) + [0]
+    done = bytearray(1 << (n - 1))  # masks in the orbit of one already augmented
     children: dict[bytes, int] = {}
     for mask in range(1 << (n - 1)):
-        if not _new_vertex_minimises(parent.adj, deg, nbr_sum, mask):
+        if done[mask] or not _new_vertex_minimises(parent.adj, deg, nbr_sum, mask):
             continue
         adj = base[:]
         adj[n - 1] = mask
@@ -83,6 +98,14 @@ def _children(work: tuple[bytes, int]) -> dict[bytes, int]:
             adj[u] |= 1 << (n - 1)
         form = canonicalize(Graph(n, tuple(adj)))
         children.setdefault(form.canon_bytes, form.aut_order)
+        orbit = [mask]
+        while orbit:
+            member = orbit.pop()
+            for image in generators:
+                moved = sum(1 << image[u] for u in _bits(member))
+                if not done[moved]:
+                    done[moved] = 1
+                    orbit.append(moved)
     return children
 
 

@@ -5,6 +5,8 @@ and canonicalizes by minimizing over all vertex permutations, so none of
 the production refinement/search code is in the loop.  The exceptions check
 one layer each on top of production code: ``unfiltered_census`` checks only
 the census's augmentation filter and so keys its classes by the production
+canonical form, ``plain_children`` checks only the census's one mask per
+orbit of the parent's automorphism group and so shares its filter and
 canonical form, ``exhaustive_canon`` checks only the canonical search's
 automorphism pruning and so shares its equitable refinement, and
 ``plain_count_embeddings`` and ``plain_unique_count`` are the embedding
@@ -26,10 +28,10 @@ from scipy.stats import beta
 
 from uniquesub.canon import (CanonicalForm, _pack_code, _refine, canonicalize,
                              decode_canon_bytes)
-from uniquesub.census import census_entries
+from uniquesub.census import _new_vertex_minimises, census_entries
 from uniquesub.embedding import ALL_SIZES, CI_ALPHA, CountOutcome
 from uniquesub.errors import DomainError
-from uniquesub.graphs import Graph, VertexMap, from_edges, pair_list
+from uniquesub.graphs import Graph, VertexMap, _bits, from_edges, pair_list
 
 
 def mask_from_graph(g: Graph) -> int:
@@ -97,15 +99,18 @@ def exhaustive_canon(g: Graph) -> CanonicalForm:
     """The canonical search without pruning: every leaf of the refinement
     tree is visited, the first one with the minimal code gives the code and
     the map, and |Aut| is the number of minimal leaves, which form one coset
-    of the automorphism group."""
+    of the automorphism group.  The generators are the automorphisms from
+    the first minimal leaf to each later one: the whole group but the
+    identity."""
     n, adj = g.n, g.adj
     pairs = pair_list(n)
     weight = {pair: 1 << (len(pairs) - 1 - rank) for rank, pair in enumerate(pairs)}
     edges = list(g.edges())
-    best_code, best_count, best_perm = -1, 0, list(range(n))
+    best_code, best_perm = -1, list(range(n))
+    autos: list[tuple[int, ...]] = []
 
     def leaf(cells: list[list[int]]) -> None:
-        nonlocal best_code, best_count, best_perm
+        nonlocal best_code, best_perm, autos
         perm = [0] * n
         for pos, cell in enumerate(cells):
             perm[cell[0]] = pos
@@ -113,9 +118,9 @@ def exhaustive_canon(g: Graph) -> CanonicalForm:
         for u, v in edges:
             code |= weight[tuple(sorted((perm[u], perm[v])))]
         if best_code < 0 or code < best_code:
-            best_code, best_count, best_perm = code, 1, perm
+            best_code, best_perm, autos = code, perm, []
         elif code == best_code:
-            best_count += 1
+            autos.append(tuple(cells[best_perm[u]][0] for u in range(n)))
 
     def rec(cells: list[list[int]]) -> None:
         target = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
@@ -128,7 +133,25 @@ def exhaustive_canon(g: Graph) -> CanonicalForm:
             rec(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1:]))
 
     rec(_refine(adj, [list(range(n))]))
-    return CanonicalForm(_pack_code(n, best_code), best_count, VertexMap(n, n, tuple(best_perm)))
+    return CanonicalForm(_pack_code(n, best_code), len(autos) + 1,
+                         VertexMap(n, n, tuple(best_perm)), tuple(autos))
+
+
+def plain_children(work: tuple[bytes, int]) -> dict[bytes, int]:
+    """The census's work unit without the parent's automorphisms: every
+    attachment mask that passes the (degree, neighbour-degree sum) filter is
+    canonicalised."""
+    parent_bytes, n = work
+    parent = decode_canon_bytes(parent_bytes)
+    deg = [row.bit_count() for row in parent.adj]
+    nbr_sum = [sum(deg[w] for w in _bits(row)) for row in parent.adj]
+    children: dict[bytes, int] = {}
+    for mask in range(1 << (n - 1)):
+        if _new_vertex_minimises(parent.adj, deg, nbr_sum, mask):
+            adj = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
+            form = canonicalize(Graph(n, (*adj, mask)))
+            children.setdefault(form.canon_bytes, form.aut_order)
+    return children
 
 
 @lru_cache(maxsize=None)

@@ -161,6 +161,50 @@ def test_symmetric_graph_aut_order_and_relabelling(name):
     assert form_h.canon_bytes == form_g.canon_bytes
 
 
+def _group_order(n, generators):
+    """Order of the permutation group the generators generate, by closure."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        element = frontier.pop()
+        for gen in generators:
+            product = tuple(gen[element[u]] for u in range(n))
+            if product not in group:
+                group.add(product)
+                frontier.append(product)
+    return len(group)
+
+
+def _generator_cases():
+    for n in range(1, 7):
+        for g in enumerate_unlabelled(n):
+            yield g
+    for n in (7, 8):
+        rng = random.Random(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for _ in range(20):
+            g = from_edges(n, [p for p in pairs if rng.random() < 0.5])
+            perm = list(range(n))
+            rng.shuffle(perm)
+            yield relabel(g, perm)
+    for n in range(1, 8):
+        yield complete_graph(n)
+        yield empty_graph(n)
+    yield _PETERSEN
+
+
+def test_generators_are_automorphisms_generating_aut():
+    for g in _generator_cases():
+        form = canonicalize(g)
+        for gen in form.generators:
+            assert sorted(gen) == list(range(g.n))
+            assert relabel(g, gen) == g
+        order = _group_order(g.n, form.generators)
+        assert order == form.aut_order
+        if g.n <= 7:
+            assert order == exhaustive_canon(g).aut_order
+
+
 class TestIsomorphism:
     def test_self_complementary_cycle(self):
         assert are_isomorphic(cycle_graph(5), complement(cycle_graph(5)))

@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from oracles import bucket_all_labelled, unfiltered_census
+from oracles import bucket_all_labelled, plain_children, unfiltered_census
 from uniquesub import canon, census, parallel
 from uniquesub.canon import canonicalize
 from uniquesub.census import (MAX_ENUMERATION_N, aut_orders, census_entries,
@@ -51,6 +51,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_equals_unfiltered_augmentation(self, n):
         assert census_entries(n) == unfiltered_census(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_mask_per_orbit_equals_every_mask(self, n):
+        # the children of every order-n parent, one attachment mask per
+        # orbit of its automorphism group against every mask
+        for parent_bytes, _ in census_entries(n):
+            work = (parent_bytes, n + 1)
+            assert census._children(work) == plain_children(work)
 
     def test_complete_at_eight(self):
         # A000088(8), and the Polya identity: a class dropped by the
@@ -117,9 +125,14 @@ def _mask(g):
     return mask_from_graph(g)
 
 
-# canonicalize calls per census level.  The unfiltered augmentation makes
-# |classes(n-1)| * 2^(n-1) of them: 2, 8, 32, 176, 1088, 9984.
-CANONICALIZE_CALLS = {1: 1, 2: 2, 3: 5, 4: 16, 5: 60, 6: 290, 7: 2024}
+# canonicalize calls for census(1..7) by the order of the graph: the
+# children canonicalised at each level, plus each class below the top once
+# more as a parent, for its automorphism generators (1, 2, 4, 11, 34 and 156
+# at orders 1..6).  The unfiltered augmentation makes |classes(n-1)| * 2^(n-1)
+# of them: 2, 8, 32, 176, 1088, 9984.  Canonicalising every mask that passes
+# the augmentation filter, not one per orbit of the parent's automorphism
+# group, made 1, 2, 5, 16, 60, 290 and 2024.
+CANONICALIZE_CALLS = {1: 2, 2: 4, 3: 8, 4: 22, 5: 68, 6: 314, 7: 1087}
 
 
 def test_canonicalize_calls_per_level(monkeypatch):
@@ -138,10 +151,13 @@ def test_canonicalize_calls_per_level(monkeypatch):
     assert calls == CANONICALIZE_CALLS
 
 
-# Canonical-search nodes (calls of the equitable refinement) per census
-# level.  Without automorphism pruning the search made 1, 6, 29, 174, 988,
-# 6751 and 48974; a lost pruning rule shows up here on any machine.
-SEARCH_NODES = {1: 1, 2: 6, 3: 21, 4: 88, 5: 360, 6: 1797, 7: 10963}
+# Canonical-search nodes (calls of the equitable refinement) for
+# census(1..7) by the order of the graph, parents' searches included.
+# Without automorphism pruning the search made 1, 6, 29, 174, 988, 6751 and
+# 48974; canonicalising every mask that passes the augmentation filter made
+# 1, 6, 21, 88, 360, 1797 and 10963.  A lost pruning rule shows up here on
+# any machine.
+SEARCH_NODES = {1: 2, 2: 12, 3: 36, 4: 134, 5: 450, 6: 2117, 7: 6061}
 
 
 def test_search_nodes_per_level(monkeypatch):
@@ -204,7 +220,8 @@ class TestWorkerMap:
         assert pools == [2]  # level 7's; level 6 was built in this process
 
     def test_cache_clear_forgets_every_level(self, monkeypatch, pools):
-        census_entries(6, threads=2)
+        # census(1..7): the order-6 count includes level 7's parents
+        census_entries(7, threads=2)
         census._census.cache_clear()
         calls: Counter[int] = Counter()
 
@@ -213,9 +230,9 @@ class TestWorkerMap:
             return canonicalize(g)
 
         monkeypatch.setattr(census, "canonicalize", counting)
-        census_entries(6, threads=2)
+        census_entries(7, threads=2)
         assert pools == [2, 2]
-        assert calls == {n: CANONICALIZE_CALLS[n] for n in range(1, 7)}
+        assert calls == CANONICALIZE_CALLS
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_pooled_level_equals_serial(self, monkeypatch, n):
