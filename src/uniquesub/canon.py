@@ -16,10 +16,10 @@ searched, so a first-path child in the known orbit of a child already
 searched is skipped.  A node is also cut when the code rows its leading
 singleton cells fix exceed the best leaf's and differ from the first
 leaf's.  No rule drops the first minimal leaf in search order, so the
-code and ``canon_map`` are those of the unpruned search.  When a
-first-path node is done, the automorphisms found generate its stabiliser,
-so by orbit-stabiliser |Aut| is the product over first-path nodes of the
-orbit size of the first child within its target cell.
+code is that of the unpruned search.  When a first-path node is done, the
+automorphisms found generate its stabiliser, so by orbit-stabiliser |Aut|
+is the product over first-path nodes of the orbit size of the first child
+within its target cell.
 
 ``canonicalize`` keeps no memo of the forms it computes: the search is
 deterministic, so a repeat call returns the same form, and no caller repeats
@@ -32,12 +32,13 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .graphs import Graph, VertexMap, from_edges, pair_list
+from .graphs import Graph, from_edges, pair_list
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """``canon_bytes`` equal iff isomorphic; ``canon_map`` realizes the relabelling.
+    """``canon_bytes`` equal iff isomorphic: the upper triangle of the graph
+    relabelled into canonical order, which ``decode_canon_bytes`` rebuilds.
 
     ``generators`` are automorphisms of the input graph, each a tuple whose
     entry u is the image of vertex u, that together generate Aut(G).  The
@@ -46,7 +47,6 @@ class CanonicalForm:
 
     canon_bytes: bytes
     aut_order: int
-    canon_map: VertexMap
     generators: tuple[tuple[int, ...], ...] = field(compare=False)
 
 
@@ -86,8 +86,7 @@ def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
-def _search(adj: tuple[int, ...], n: int
-            ) -> tuple[int, int, list[int], tuple[tuple[int, ...], ...]]:
+def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     npairs = n * (n - 1) // 2
     orbit = list(range(n))  # union-find: orbits of the automorphisms found so far
     found: list[tuple[int, ...]] = []  # those automorphisms, as vertex -> image
@@ -187,8 +186,7 @@ def _search(adj: tuple[int, ...], n: int
         return len(path)
 
     order = first_path(_refine(adj, [list(range(n))]), 0, 0)
-    position = sorted(range(n), key=best[1].__getitem__)  # vertex -> position
-    return best[0], order, position, tuple(found)
+    return best[0], order, tuple(found)
 
 
 def _pack_code(n: int, code: int) -> bytes:
@@ -221,13 +219,9 @@ def canonicalize(g: Graph) -> CanonicalForm:
     """The canonical form of ``g``, computed afresh on every call: the census
     canonicalises each augmentation once, so a memo made no hits in any
     command.  The census's (canon_bytes, |Aut|) table is the one class table."""
-    code, count, perm, generators = _search(g.adj, g.n)
-    return CanonicalForm(
-        canon_bytes=_pack_code(g.n, code),
-        aut_order=count,
-        canon_map=VertexMap(g.n, g.n, tuple(perm)),
-        generators=generators,
-    )
+    code, count, generators = _search(g.adj, g.n)
+    return CanonicalForm(canon_bytes=_pack_code(g.n, code), aut_order=count,
+                         generators=generators)
 
 
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:

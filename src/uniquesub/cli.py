@@ -31,7 +31,8 @@ from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h
 from .errors import DomainError, UniquesubError
 from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
 from .parallel import parallel_map
-from .process import embedding_trajectory, sample_trace, uniqueness_interval, x_statistic
+from .process import (SCAN_ALL_MAX_N, embedding_trajectory, sample_trace,
+                      uniqueness_interval, x_statistic)
 from .switching import (SwitchContext, apply_switch, classify_degrees, default_schedule,
                         find_switch, is_embedding, refine_t, required_pairs,
                         switch_probability)
@@ -189,7 +190,10 @@ def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, An
 
 
 def _cmd_process(args: argparse.Namespace) -> dict[str, Any]:
-    parse_graph6(args.g6)  # a bad host fails here, before any worker starts
+    h = parse_graph6(args.g6)  # a bad host fails here, before any worker starts
+    if args.scan_all and h.n > SCAN_ALL_MAX_N:
+        raise DomainError(f"--scan-all supports hosts of 1..{SCAN_ALL_MAX_N} vertices, "
+                          f"got {h.n}: step 0 alone has n! embeddings to count")
     seed = _need_seed(args)
     work = [(args.g6, seed, i, args.L, args.scan_all) for i in range(args.traces)]
     records = list(_sampling_map(_process_one, work, args.threads))

@@ -29,8 +29,7 @@ CI_ALPHA = 0.01  # Monte-Carlo estimates carry 99% Clopper-Pearson intervals
 
 @dataclass(frozen=True)
 class CountOutcome:
-    """An embedding count, with the first embedding found as ``witness``
-    whenever the count is not zero.
+    """An embedding count.
 
     ``is_exact`` is False when the search stopped at its ``early_exit_at``
     threshold; ``count`` is then that threshold, a lower bound.
@@ -38,7 +37,6 @@ class CountOutcome:
 
     count: int
     is_exact: bool = True
-    witness: VertexMap | None = None
 
     @property
     def kind(self) -> str:
@@ -68,8 +66,7 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
     of at least its own degree: an embedding sends a vertex's neighbours to
     distinct neighbours of its image.  The degree filter removes only host
     vertices that lie on no embedding, so the leaves, and with them the
-    count, the early exit and the witness (the first leaf), are those of
-    the unfiltered search.
+    count and the early exit, are those of the unfiltered search.
     """
     if early_exit_at is not None and early_exit_at < 1:
         raise DomainError("early_exit_at must be at least 1")
@@ -93,14 +90,11 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
 
     assigned = [0] * g.n
     count = 0
-    witness: tuple[int, ...] | None = None
 
     def rec(i: int, used: int) -> bool:
-        nonlocal count, witness
+        nonlocal count
         if i == g.n:
             count += 1
-            if witness is None:
-                witness = tuple(assigned)
             return early_exit_at is not None and count >= early_exit_at
         v = order[i]
         cand = allowed[i] & ~used
@@ -115,8 +109,7 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
         return False
 
     aborted = rec(0, 0)
-    return CountOutcome(count, not aborted,
-                        None if witness is None else VertexMap(g.n, h.n, witness))
+    return CountOutcome(count, not aborted)
 
 
 def verify_embedding(g: Graph, h: Graph, vmap: VertexMap) -> bool:
@@ -129,7 +122,7 @@ def verify_embedding(g: Graph, h: Graph, vmap: VertexMap) -> bool:
 def count_subgraph_copies(g: Graph, h: Graph) -> CountOutcome:
     """Number of (vertex subset, edge subset) pairs of ``h`` isomorphic to ``g``."""
     emb = count_embeddings(g, h)
-    return CountOutcome(emb.count // aut_order(g), witness=emb.witness)
+    return CountOutcome(emb.count // aut_order(g))
 
 
 def is_unique_subgraph(g: Graph, h: Graph) -> bool:

@@ -19,6 +19,12 @@ from .errors import DomainError
 from .graphs import Graph, MAX_VERTICES, from_edges
 from .sampling import derive_rng, random_pair_order
 
+# ``process --scan-all`` counts every embedding at every step, and step 0,
+# the empty pattern, has n! of them: one full K7 trajectory took 0.15 s, K8
+# 1.7 s and K9 18.8 s (one process, 2-vCPU VM), so K10 would take minutes.
+# The same limit as the census's MAX_ENUMERATION_N.
+SCAN_ALL_MAX_N = 9
+
 
 @dataclass(frozen=True)
 class ProcessTrace:

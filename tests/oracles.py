@@ -14,15 +14,18 @@ search without degree filtering and the f pattern loop without the pattern
 table, skips or isolated-vertex stripping, over the production census.
 ``beta_ppf_interval`` is the Clopper-Pearson interval through
 ``scipy.stats.beta.ppf``, the reference for the production quantile call.
+``to_networkx`` and ``vf2_count_embeddings`` hand graphs to networkx, whose
+isomorphism test and VF2 matcher reach orders the brute oracles cannot.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import factorial
 
+import networkx as nx
 import numpy as np
 from scipy.stats import beta
 
@@ -31,7 +34,7 @@ from uniquesub.canon import (CanonicalForm, _pack_code, _refine, canonicalize,
 from uniquesub.census import _new_vertex_minimises, census_entries
 from uniquesub.embedding import ALL_SIZES, CI_ALPHA, CountOutcome
 from uniquesub.errors import DomainError
-from uniquesub.graphs import Graph, VertexMap, _bits, from_edges, pair_list
+from uniquesub.graphs import Graph, _bits, from_edges, pair_list
 
 
 def mask_from_graph(g: Graph) -> int:
@@ -45,6 +48,11 @@ def mask_from_graph(g: Graph) -> int:
 def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = pair_list(n)
     return from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def random_graph(n: int, p: float, rng) -> Graph:
+    """G(n, p) drawn from a ``random.Random``."""
+    return from_edges(n, [pair for pair in pair_list(n) if rng.random() < p])
 
 
 @lru_cache(maxsize=16)
@@ -97,8 +105,8 @@ def bucket_all_labelled(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def exhaustive_canon(g: Graph) -> CanonicalForm:
     """The canonical search without pruning: every leaf of the refinement
-    tree is visited, the first one with the minimal code gives the code and
-    the map, and |Aut| is the number of minimal leaves, which form one coset
+    tree is visited, the first one with the minimal code gives the code,
+    and |Aut| is the number of minimal leaves, which form one coset
     of the automorphism group.  The generators are the automorphisms from
     the first minimal leaf to each later one: the whole group but the
     identity."""
@@ -133,8 +141,7 @@ def exhaustive_canon(g: Graph) -> CanonicalForm:
             rec(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1:]))
 
     rec(_refine(adj, [list(range(n))]))
-    return CanonicalForm(_pack_code(n, best_code), len(autos) + 1,
-                         VertexMap(n, n, tuple(best_perm)), tuple(autos))
+    return CanonicalForm(_pack_code(n, best_code), len(autos) + 1, tuple(autos))
 
 
 def plain_children(work: tuple[bytes, int]) -> dict[bytes, int]:
@@ -201,14 +208,11 @@ def plain_count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None)
     hfull = (1 << h.n) - 1
     assigned = [0] * g.n
     count = 0
-    witness: tuple[int, ...] | None = None
 
     def rec(i: int, used: int) -> bool:
-        nonlocal count, witness
+        nonlocal count
         if i == g.n:
             count += 1
-            if witness is None:
-                witness = tuple(assigned)
             return early_exit_at is not None and count >= early_exit_at
         v = order[i]
         cand = ~used & hfull
@@ -223,8 +227,21 @@ def plain_count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None)
         return False
 
     aborted = rec(0, 0)
-    return CountOutcome(count, not aborted,
-                        None if witness is None else VertexMap(g.n, h.n, witness))
+    return CountOutcome(count, not aborted)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return ng
+
+
+def vf2_count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> int:
+    """Embeddings of ``g`` into ``h``, one per VF2 monomorphism between a
+    subgraph of ``h`` and ``g``; at most ``early_exit_at`` when it is given."""
+    matcher = nx.algorithms.isomorphism.GraphMatcher(to_networkx(h), to_networkx(g))
+    return sum(1 for _ in islice(matcher.subgraph_monomorphisms_iter(), early_exit_at))
 
 
 def plain_unique_count(h: Graph, universe: str) -> int:

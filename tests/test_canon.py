@@ -5,11 +5,13 @@ import random
 from itertools import permutations
 from math import factorial
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bucket_all_labelled, exhaustive_canon, graph_from_mask, mask_from_graph
+from oracles import (bucket_all_labelled, exhaustive_canon, graph_from_mask, mask_from_graph,
+                     random_graph, to_networkx)
 from uniquesub.canon import are_isomorphic, aut_order, canonicalize, decode_canon_bytes
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.graphs import (complement, complete_graph, cycle_graph, empty_graph,
@@ -68,14 +70,6 @@ class TestCanonicalForm:
             for perm in permutations(range(5)):
                 assert canonicalize(relabel(g, perm)).canon_bytes == expected
 
-    def test_canon_map_realizes_canon_bytes(self):
-        for n in range(1, 8):
-            for g in enumerate_unlabelled(n):
-                form = canonicalize(g)
-                relabelled = relabel(g, form.canon_map.image)
-                assert canonicalize(relabelled).canon_bytes == form.canon_bytes
-                assert decode_canon_bytes(form.canon_bytes) == relabelled
-
     def test_aut_order_divides_factorial(self):
         for n in (3, 4, 5):
             for g in enumerate_unlabelled(n):
@@ -95,7 +89,7 @@ class TestCanonicalForm:
 
 
 class TestAgainstExhaustiveSearch:
-    """The pruned search returns the unpruned search's code, map and |Aut|."""
+    """The pruned search returns the unpruned search's code and |Aut|."""
 
     def test_every_class_to_seven_relabelled(self):
         rng = random.Random(11)
@@ -203,6 +197,49 @@ def test_generators_are_automorphisms_generating_aut():
         assert order == form.aut_order
         if g.n <= 7:
             assert order == exhaustive_canon(g).aut_order
+
+
+def _networkx_cases():
+    rng = random.Random(64)
+    for n in (16, 24, 32, 48, 64):
+        for p in (0.1, 0.3, 0.5):  # nx.is_isomorphic takes 1 s on G(64, 0.8)
+            yield random_graph(n, p, rng)
+    yield _PETERSEN
+    yield _hypercube(4)
+    yield cycle_graph(32)
+    yield SYMMETRIC["K3,5"][0]
+    yield from_edges(24, [(2 * i, 2 * i + 1) for i in range(8)])  # 8 K2 + 8 K1
+    yield complement(from_edges(32, [(0, 1)]))  # moving its one non-edge keeps the class
+
+
+class TestAgainstNetworkx:
+    """Orders ``exhaustive_canon`` cannot reach, checked by networkx's VF2."""
+
+    def test_relabelled_graphs_share_bytes_that_decode_to_them(self):
+        rng = random.Random(7)
+        for g in _networkx_cases():
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            form = canonicalize(g)
+            assert canonicalize(relabel(g, perm)).canon_bytes == form.canon_bytes
+            assert nx.is_isomorphic(to_networkx(decode_canon_bytes(form.canon_bytes)),
+                                    to_networkx(g))
+
+    def test_one_edge_moved_shares_bytes_iff_isomorphic(self):
+        rng = random.Random(8)
+        outcomes = set()
+        for g in _networkx_cases():
+            edges = list(g.edges())
+            non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                         if not g.has_edge(u, v)]
+            for _ in range(3):
+                gone = rng.choice(edges)
+                moved = from_edges(g.n, [e for e in edges if e != gone]
+                                   + [rng.choice(non_edges)])
+                iso = nx.is_isomorphic(to_networkx(g), to_networkx(moved))
+                assert (canonicalize(g).canon_bytes == canonicalize(moved).canon_bytes) == iso
+                outcomes.add(iso)
+        assert outcomes == {True, False}
 
 
 class TestIsomorphism:

@@ -131,6 +131,21 @@ class TestStochasticCommands:
         assert line["probes"][0][1] == 24  # empty pattern embeds every way
         assert line["probes"][6][1] == 24  # complete pattern into complete host
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_process_scan_refuses_ten_vertices_before_any_search(self, capsys, monkeypatch,
+                                                                 pools, threads):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(process, "count_embeddings", refuse)
+        code, out, err = run_cli(capsys, "--threads", threads, "process", "--g6", "I~~~~~~~w",
+                                 "--traces", "2", "--seed", "1", "--scan-all")
+        assert code == 2 and out == "" and pools == []
+        assert json.loads(err)["error"] == {
+            "type": "DomainError",
+            "message": "--scan-all supports hosts of 1..9 vertices, got 10: "
+                       "step 0 alone has n! embeddings to count"}
+
     def test_record_replay_bit_identical(self, capsys, tmp_path):
         record = tmp_path / "runs.jsonl"
         run_cli(capsys, "--record", str(record), "estimate", "--g6", "Bw",

@@ -9,18 +9,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (beta_ppf_interval, brute_count_embeddings, brute_f_value,
-                     graph_from_mask, plain_count_embeddings, plain_unique_count)
+                     graph_from_mask, plain_count_embeddings, plain_unique_count,
+                     random_graph, vf2_count_embeddings)
 from uniquesub import census, embedding
 from uniquesub.canon import aut_order, canonicalize
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, clopper_pearson,
                                  count_embeddings, count_subgraph_copies,
                                  estimate_unique_prob, f_max_exact, f_of_h, f_table,
-                                 has_unique_embedding, is_unique_subgraph,
-                                 verify_embedding)
+                                 has_unique_embedding, is_unique_subgraph, unique_trial)
 from uniquesub.errors import DomainError
-from uniquesub.graphs import (Graph, complete_graph, empty_graph, from_edges,
-                              pair_list, parse_graph6, path_graph)
+from uniquesub.graphs import (Graph, VertexMap, complement, complete_graph, empty_graph,
+                              from_edges, pair_list, parse_graph6, path_graph)
+from uniquesub.process import sample_trace, uniqueness_interval
 from uniquesub.sampling import derive_rng, gnp_half
 
 
@@ -44,11 +45,6 @@ class TestCountEmbeddings:
 
     def test_larger_pattern_is_zero(self):
         assert count_embeddings(complete_graph(4), complete_graph(3)).is_zero
-
-    def test_witness_verifies(self):
-        g = next(g for g in enumerate_unlabelled(6) if aut_order(g) == 1)
-        out = count_embeddings(g, g)
-        assert out.is_one and verify_embedding(g, g, out.witness)
 
     def test_early_exit_threshold(self):
         out = count_embeddings(complete_graph(2), complete_graph(3), early_exit_at=2)
@@ -74,7 +70,7 @@ class TestCountEmbeddings:
             assert min(exact, 2) == min(fast.count, 2)
 
     def test_matches_plain_search_on_class_pairs(self):
-        # the degree filter drops only dead branches: same count, exit and witness
+        # the degree filter drops only dead branches: same count and exit
         classes = {n: list(enumerate_unlabelled(n)) for n in range(1, 6)}
         for nh in classes:
             for h in classes[nh]:
@@ -99,6 +95,26 @@ class TestCountEmbeddings:
         before = count_embeddings(g, h).count
         after = count_embeddings(g.with_edge(u, v), h).count
         assert after <= before
+
+
+class TestAgainstVF2:
+    def test_early_exit_counts_match_vf2(self):
+        rng = random.Random(12)
+        pairs = []
+        for n in (10, 11, 12):
+            all_pairs = pair_list(n)
+            for _ in range(10):  # into the complement of n random edges: the paper's dense case
+                h = complement(from_edges(n, rng.sample(all_pairs, n)))
+                k, p = rng.choice((n, n - 1, n - 2)), rng.choice((0.3, 0.5))
+                pairs.append((random_graph(k, p, rng), h))
+            for _ in range(4):  # into sparse hosts, where about half have no embedding
+                pairs.append((random_graph(n - 4, 0.4, rng), random_graph(n, 0.3, rng)))
+        counts = set()
+        for g, h in pairs:
+            count = count_embeddings(g, h, early_exit_at=3).count
+            assert count == vf2_count_embeddings(g, h, early_exit_at=3), (g, h)
+            counts.add(count)
+        assert {0, 3} <= counts
 
 
 class TestCopies:
@@ -290,3 +306,18 @@ class TestEstimate:
         a = estimate_unique_prob(path_graph(4), trials=100, seed=99)
         b = estimate_unique_prob(path_graph(4), trials=100, seed=99)
         assert a == b
+
+
+def test_searches_build_no_vertex_map(monkeypatch, fresh_census):
+    """A search returns counts, codes and |Aut| only: the census, exact f,
+    Monte-Carlo trials and the process interval build no ``VertexMap``."""
+    def refuse(self):
+        raise AssertionError("a search built a VertexMap")
+
+    monkeypatch.setattr(VertexMap, "__post_init__", refuse)
+    assert len(census.census_entries(6)) == 156
+    assert len(f_table(5)) == 34
+    h = parse_graph6("Gyh|^k")
+    for i in range(200):
+        unique_trial(h, 2024, i)
+    uniqueness_interval(sample_trace(8, 2024, 0), h)
