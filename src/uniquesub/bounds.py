@@ -10,11 +10,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, islice
 from math import comb, factorial, gcd, isfinite, lgamma, log, log10
-from typing import Any, Iterator, Sequence
-
-import mpmath
+from typing import TYPE_CHECKING, Any, Iterator, Sequence
 
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    # Imported where an evaluator builds an mpmath value, so that a command
+    # that builds none never pays mpmath's import (about 40 ms).
+    import mpmath
 
 PRECISION_DPS = 50
 CHERNOFF_MAX_N = 650  # chernoff_l at n = 650 takes 7-9 s on a 2-vCPU VM, Python 3.11
@@ -36,6 +39,8 @@ def binomial_point_mass_max(total: int) -> BoundReport:
     The comparison is decided exactly (squared form), so a failing regime
     would be reported rather than lost to rounding.
     """
+    import mpmath
+
     _check_trials(total)
     exact = Fraction(comb(total, total // 2), 2 ** total)
     with mpmath.workdps(PRECISION_DPS):
@@ -98,6 +103,8 @@ def azuma_tail(t: float, influences: Sequence[float]) -> mpmath.mpf:
         raise DomainError("deviation t must be finite")
     if not all(isfinite(b) for b in influences):
         raise DomainError("influences b must be finite")
+    import mpmath
+
     with mpmath.workdps(PRECISION_DPS):
         ssq = mpmath.fsum(mpmath.mpf(b) ** 2 for b in influences)
         if ssq == 0:
@@ -182,6 +189,8 @@ def dense_case_inequality(delta: float, c: float, n: int) -> BoundReport:
         raise DomainError("the density constant c must be finite")
     level, _ = chernoff_l(delta, n)  # always >= 1: the radius-0 tail is 1
     total = n * (n - 1) // 2
+    import mpmath
+
     with mpmath.workdps(PRECISION_DPS):
         lhs = mpmath.e ** (-mpmath.mpf(c) * n * n * mpmath.mpf(delta) / (17 * total))
         rhs = mpmath.mpf(delta) / (48 * level)
@@ -199,6 +208,8 @@ def union_budget(n: int, log_base: float | None = None) -> Fraction | mpmath.mpf
         raise DomainError("log base must exceed 1")
     if not isfinite(log_base):
         raise DomainError("log base must be finite")
+    import mpmath
+
     with mpmath.workdps(PRECISION_DPS):
         return mpmath.mpf(factorial(n)) * mpmath.e ** (
             -n * mpmath.log(n) / mpmath.log(log_base))

@@ -207,8 +207,20 @@ def decode_canon_bytes(data: bytes) -> Graph:
     if len(data) != 1 + nbytes:
         raise DomainError("canonical encoding has wrong length")
     code = int.from_bytes(data[1:], "big") >> (8 * nbytes - npairs)
-    return from_edges(n, [pair for rank, pair in enumerate(pair_list(n))
-                          if code >> (npairs - 1 - rank) & 1])
+    pairs = _pairs_by_bit(n)
+    edges = []
+    while code:
+        low = code & -code
+        code ^= low
+        edges.append(pairs[low.bit_length() - 1])
+    return from_edges(n, edges)
+
+
+@lru_cache(maxsize=None)
+def _pairs_by_bit(n: int) -> tuple[tuple[int, int], ...]:
+    """The pair each bit of an order-n code stands for, least significant
+    bit first; one entry per order, read by every decode of that order."""
+    return tuple(reversed(pair_list(n)))
 
 
 # maxsize=0 stores nothing.  The wrapper stays only for the benchmark, whose

@@ -20,8 +20,6 @@ import time
 from fractions import Fraction
 from typing import Any, Callable, Iterator, Sequence
 
-import mpmath
-
 from . import __version__
 from . import bounds as bounds_mod
 from .census import (MAX_ENUMERATION_N, census_entries, enumerate_unlabelled,
@@ -31,7 +29,7 @@ from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h
 from .errors import DomainError, UniquesubError
 from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
 from .parallel import parallel_map
-from .process import (SCAN_ALL_MAX_N, embedding_trajectory, sample_trace,
+from .process import (check_scan_order, embedding_trajectory, sample_trace,
                       uniqueness_interval, x_statistic)
 from .switching import (SwitchContext, apply_switch, classify_degrees, default_schedule,
                         find_switch, is_embedding, refine_t, required_pairs,
@@ -44,7 +42,8 @@ from .sampling import derive_rng, gnp_half  # noqa: F401
 def jsonable(value: Any) -> Any:
     if isinstance(value, Fraction):
         return {"num": value.numerator, "den": value.denominator}
-    if isinstance(value, mpmath.mpf):
+    mpmath = sys.modules.get("mpmath")  # only a bound built with mpmath loads it
+    if mpmath is not None and isinstance(value, mpmath.mpf):
         return float(value)
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
@@ -136,7 +135,7 @@ def _f_entry(fv) -> dict[str, Any]:
 
 def _cmd_f_exact(args: argparse.Namespace) -> dict[str, Any]:
     universe = _universe(args)
-    table = f_table(args.n, universe)
+    table = f_table(args.n, universe, args.threads)
     best = _f_entry(f_max(table))
     return {"n": args.n, "universe": universe, "table": [_f_entry(fv) for fv in table],
             "max": best, "argmax_g6": best["h_g6"]}
@@ -191,9 +190,8 @@ def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, An
 
 def _cmd_process(args: argparse.Namespace) -> dict[str, Any]:
     h = parse_graph6(args.g6)  # a bad host fails here, before any worker starts
-    if args.scan_all and h.n > SCAN_ALL_MAX_N:
-        raise DomainError(f"--scan-all supports hosts of 1..{SCAN_ALL_MAX_N} vertices, "
-                          f"got {h.n}: step 0 alone has n! embeddings to count")
+    if args.scan_all:
+        check_scan_order(h.n)
     seed = _need_seed(args)
     work = [(args.g6, seed, i, args.L, args.scan_all) for i in range(args.traces)]
     records = list(_sampling_map(_process_one, work, args.threads))

@@ -9,21 +9,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from operator import ge
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .canon import aut_order, decode_canon_bytes
 from .census import census_entries, enumerate_unlabelled
 from .errors import DomainError
-from .graphs import Graph, VertexMap, _bits, emit_graph6, induced_subgraph
+from .graphs import Graph, VertexMap, emit_graph6
+from .parallel import parallel_map
 from .sampling import derive_rng, gnp_half
 
 ALL_SIZES = "all-sizes"
 SPANNING_ONLY = "spanning"
 
-F_MAX_EXACT_MAX_N = 6
+F_MAX_EXACT_MAX_N = 7
+# The lowest order whose f table is split across the worker map.  On a
+# 2-vCPU VM, f-exact --n 6 took 0.50 s in one process against 0.56 s on two
+# workers (medians of six runs each), and f-exact --n 7 17-19 s against
+# 8.7-12.1 s.
+F_POOL_MIN_N = 7
 CI_ALPHA = 0.01  # Monte-Carlo estimates carry 99% Clopper-Pearson intervals
 
 
@@ -59,57 +65,86 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
 
     With ``early_exit_at=k`` the search stops at the k-th embedding and
     reports k with ``is_exact`` False.  A larger ``g`` than ``h`` yields zero
-    by convention (no injection exists).
-
-    Pattern vertices are placed in descending degree order, each on an
-    unused host vertex adjacent to the images of its earlier neighbours and
-    of at least its own degree: an embedding sends a vertex's neighbours to
-    distinct neighbours of its image.  The degree filter removes only host
-    vertices that lie on no embedding, so the leaves, and with them the
-    count and the early exit, are those of the unfiltered search.
+    by convention (no injection exists).  The search follows ``g``'s plan
+    (``_plan``, ``_plan_count``).
     """
     if early_exit_at is not None and early_exit_at < 1:
         raise DomainError("early_exit_at must be at least 1")
     if g.n > h.n:
         return CountOutcome(0)
+    degrees, prev = _plan(g)
+    count = _plan_count(degrees, prev, h.adj, _degree_masks(h), early_exit_at)
+    return CountOutcome(count, early_exit_at is None or count < early_exit_at)
 
-    gdeg = [row.bit_count() for row in g.adj]
-    order = sorted(range(g.n), key=lambda v: (-gdeg[v], v))
-    hadj = h.adj
-    at_least = [0] * (h.n + 1)  # host vertices of degree >= d
-    for w, row in enumerate(hadj):
+
+def _plan(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The search plan of pattern ``g``: its vertices in descending degree
+    order, ties to the lower vertex, given as their degrees and, for each
+    position, the earlier positions adjacent to it.  Isolated vertices come
+    last."""
+    adj = g.adj
+    deg = list(map(int.bit_count, adj))
+    order = sorted(range(g.n), key=deg.__getitem__, reverse=True)  # stable: ties keep vertex order
+    pos = sorted(range(g.n), key=order.__getitem__)  # the inverse of order
+    prev = []
+    earlier = 0
+    for v in order:
+        row = adj[v] & earlier
+        nbrs = []
+        while row:
+            low = row & -row
+            row ^= low
+            nbrs.append(pos[low.bit_length() - 1])
+        prev.append(nbrs)
+        earlier |= 1 << v
+    return tuple(map(deg.__getitem__, order)), prev
+
+
+def _degree_masks(h: Graph) -> list[int]:
+    """Entry d holds the host vertices of degree at least d, for d = 0..n."""
+    at_least = [0] * (h.n + 1)
+    for w, row in enumerate(h.adj):
         at_least[row.bit_count()] |= 1 << w
     for d in range(h.n - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
-    allowed = [at_least[gdeg[v]] for v in order]
-    prev_nbrs: list[list[int]] = []
-    earlier = 0
-    for v in order:
-        prev_nbrs.append(_bits(g.adj[v] & earlier))
-        earlier |= 1 << v
+    return at_least
 
-    assigned = [0] * g.n
+
+def _plan_count(degrees: Sequence[int], prev: Sequence[Sequence[int]], hadj: Sequence[int],
+                at_least: Sequence[int], early_exit_at: int | None) -> int:
+    """Embeddings of the first ``len(prev)`` plan positions, at least one,
+    into the host with rows ``hadj`` and degree masks ``at_least``, at most
+    ``early_exit_at``.
+
+    Position i goes to an unused host vertex adjacent to the images of its
+    earlier neighbours ``prev[i]`` and of at least its degree
+    ``degrees[i]``: an embedding sends a vertex's neighbours to distinct
+    neighbours of its image, so the degree filter removes only host
+    vertices that lie on no embedding.  The last position's candidates are
+    leaves, counted at once; past ``early_exit_at`` the count is clamped to
+    it, the count at which a leaf-by-leaf search would have stopped.
+    """
+    last = len(prev) - 1
+    image_adj = [0] * len(prev)  # hadj row of each placed position's image
     count = 0
 
     def rec(i: int, used: int) -> bool:
         nonlocal count
-        if i == g.n:
-            count += 1
+        cand = at_least[degrees[i]] & ~used
+        for j in prev[i]:
+            cand &= image_adj[j]
+        if i == last:
+            count += cand.bit_count()
             return early_exit_at is not None and count >= early_exit_at
-        v = order[i]
-        cand = allowed[i] & ~used
-        for w in prev_nbrs[i]:
-            cand &= hadj[assigned[w]]
         while cand:
             low = cand & -cand
             cand ^= low
-            assigned[v] = low.bit_length() - 1
+            image_adj[i] = hadj[low.bit_length() - 1]
             if rec(i + 1, used | low):
                 return True
         return False
 
-    aborted = rec(0, 0)
-    return CountOutcome(count, not aborted)
+    return early_exit_at if rec(0, 0) else count
 
 
 def verify_embedding(g: Graph, h: Graph, vmap: VertexMap) -> bool:
@@ -152,24 +187,25 @@ class FValue:
 class _Pattern(NamedTuple):
     """One order-n pattern class G, as ``f_of_h`` tests it."""
 
-    core: Graph | None  # G without its isolated vertices; None when G has no edge
-    aut: int  # |Aut(core)| = |Aut(G)| / k!, for k isolated vertices
-    degrees: tuple[int, ...]  # G's degrees, descending
+    degrees: tuple[int, ...]  # G's degrees, descending: the plan's and the skip's
+    prev: tuple[tuple[int, ...], ...]  # G's plan, cut after its live vertices
+    aut: int  # |Aut(G')| = |Aut(G)| / k!, for k isolated vertices
     weight: int  # all-sizes weight: 2 when G has an isolated vertex and an edge
 
 
 @lru_cache(maxsize=1)
 def _pattern_table(n: int) -> tuple[_Pattern, ...]:
-    """The order-n census as patterns, in census order."""
+    """The order-n census as patterns, in census order.  Equal degree and
+    neighbour tuples are one object across the table."""
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     table = []
     for canon_bytes, aut in census_entries(n):
-        g = decode_canon_bytes(canon_bytes)
-        live = [v for v in range(n) if g.adj[v]]
-        k = n - len(live)
-        core = g if k == 0 else induced_subgraph(g, live) if k < n else None
-        table.append(_Pattern(core, aut // factorial(k),
-                              tuple(sorted((row.bit_count() for row in g.adj), reverse=True)),
-                              1 + (0 < k < n)))
+        degrees, prev = _plan(decode_canon_bytes(canon_bytes))
+        k = degrees.count(0)
+        live = list(map(tuple, prev[:n - k]))
+        table.append(_Pattern(shared.setdefault(degrees, degrees),
+                              tuple(map(shared.setdefault, live, live)),
+                              aut // factorial(k), 1 + (0 < k < n)))
     return tuple(table)
 
 
@@ -195,7 +231,8 @@ def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     3. Any other G is unique iff G' has exactly |Aut(G')| embeddings into
        ``h``: every embedding of G' leaves k host vertices unused, which
        the isolated vertices fill in k! ways, so count(G) = k! count(G')
-       and |Aut(G)| = k! |Aut(G')|.
+       and |Aut(G)| = k! |Aut(G')|.  G's plan places the isolated vertices
+       last, so G' is searched by G's plan cut after its live vertices.
     """
     n = h.n
     table = _pattern_table(n)  # the census guard trips before the universe check
@@ -203,22 +240,30 @@ def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
         raise DomainError(f"unknown universe {universe!r}")
     all_sizes = universe == ALL_SIZES
     hdeg = sorted((row.bit_count() for row in h.adj), reverse=True)
+    hadj, at_least = h.adj, _degree_masks(h)
     unique = 0
-    for core, aut, degrees, weight in table:
+    for degrees, prev, aut, weight in table:
         if not all(map(ge, hdeg, degrees)):
             continue
-        if core is None or count_embeddings(core, h, early_exit_at=aut + 1).count == aut:
+        if not prev or _plan_count(degrees, prev, hadj, at_least, aut + 1) == aut:
             unique += weight if all_sizes else 1
     denominator = Fraction(2 ** (n * (n - 1) // 2), factorial(n))
     return FValue(h=h, universe=universe, unique_count=unique,
                   denominator=denominator, f=Fraction(unique) / denominator)
 
 
-def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
-    """f of one host per isomorphism class of order ``n``, in census order."""
+def f_table(n: int, universe: str = ALL_SIZES, threads: int | None = 1) -> list[FValue]:
+    """f of one host per isomorphism class of order ``n``, in census order.
+
+    From ``F_POOL_MIN_N`` up the hosts are split across ``threads`` workers
+    (None: all cores), one work unit per host; the table does not depend
+    on it."""
     if not 1 <= n <= F_MAX_EXACT_MAX_N:
         raise DomainError(f"exact f maximization supports 1..{F_MAX_EXACT_MAX_N}, got {n}")
-    return [f_of_h(h, universe) for h in enumerate_unlabelled(n)]
+    hosts = list(enumerate_unlabelled(n))
+    _pattern_table(n)  # built before the map, so that forked workers inherit it
+    return list(parallel_map(partial(f_of_h, universe=universe), hosts,
+                             threads if n >= F_POOL_MIN_N else 1))
 
 
 def f_max(table: Iterable[FValue]) -> FValue:

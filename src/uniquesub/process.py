@@ -19,10 +19,10 @@ from .errors import DomainError
 from .graphs import Graph, MAX_VERTICES, from_edges
 from .sampling import derive_rng, random_pair_order
 
-# ``process --scan-all`` counts every embedding at every step, and step 0,
-# the empty pattern, has n! of them: one full K7 trajectory took 0.15 s, K8
-# 1.7 s and K9 18.8 s (one process, 2-vCPU VM), so K10 would take minutes.
-# The same limit as the census's MAX_ENUMERATION_N.
+# An embedding trajectory counts every embedding at each probed step, and
+# step 0, the empty pattern, has n! of them: one full K7 trajectory took
+# 0.15 s, K8 1.7 s and K9 18.8 s (one process, 2-vCPU VM), so K10 would take
+# minutes.  The same limit as the census's MAX_ENUMERATION_N.
 SCAN_ALL_MAX_N = 9
 
 
@@ -78,11 +78,21 @@ def sample_trace(n: int, seed: int, index: int | None = None) -> ProcessTrace:
     return ProcessTrace(n=n, seed=seed, edge_order=random_pair_order(n, rng))
 
 
+def check_scan_order(n: int) -> None:
+    """Refuse an embedding trajectory, ``process --scan-all``'s scan, on a
+    host of more than ``SCAN_ALL_MAX_N`` vertices."""
+    if n > SCAN_ALL_MAX_N:
+        raise DomainError(f"--scan-all supports hosts of 1..{SCAN_ALL_MAX_N} vertices, "
+                          f"got {n}: step 0 alone has n! embeddings to count")
+
+
 def embedding_trajectory(trace: ProcessTrace, h: Graph,
                          probe_set: Iterable[int]) -> Mapping[int, CountOutcome]:
-    """Exact embedding counts of G_m into ``h`` at each probed m."""
+    """Exact embedding counts of G_m into ``h`` at each probed m; refused on
+    hosts above ``SCAN_ALL_MAX_N`` vertices, whatever the probes."""
     if h.n != trace.n:
         raise DomainError("host order must match the trace order")
+    check_scan_order(h.n)
     return {m: count_embeddings(trace.graph_at(m), h)
             for m in sorted(set(probe_set))}
 

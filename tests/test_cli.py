@@ -181,7 +181,7 @@ def count_calls(monkeypatch, name, *modules):
 class TestOnePathPerCommand:
     def test_f_exact_guard_runs_before_any_f_value(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
-        code, _, err = run_cli(capsys, "f-exact", "--n", "7")
+        code, _, err = run_cli(capsys, "f-exact", "--n", "8")
         assert code == 2 and json.loads(err)["error"]["type"] == "DomainError"
         assert calls == []
 
@@ -511,15 +511,18 @@ def test_replay_identical_across_processes():
 def test_cli_import_leaves_scipy_unloaded():
     # Each command imports only what it runs: numpy (about 0.15 s) only where it
     # samples, for estimate's interval scipy.special, never the 1 s scipy.stats,
-    # and the process pool (about 27 ms) only where a map starts one.
+    # mpmath (about 40 ms) only where a bound builds an mpmath value, and the
+    # process pool (about 27 ms) only where a map starts one.
     # Each check runs in a fresh interpreter.
     import subprocess
     import sys
-    report = ("print(sorted(m for m in ('numpy', 'scipy', 'scipy.special', 'scipy.stats',"
-              " 'multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    report = ("print(sorted(m for m in ('mpmath', 'numpy', 'scipy', 'scipy.special',"
+              " 'scipy.stats', 'multiprocessing', 'concurrent.futures.process')"
+              " if m in sys.modules))")
     cases = [
         (None, []),
         (["bounds", "union-budget", "--n", "2"], []),
+        (["bounds", "union-budget", "--n", "2", "--log-base", "2"], ["mpmath"]),
         (["enumerate", "--n", "4"], []),
         (["f-exact", "--n", "3"], []),
         (["--threads", "1", "estimate", "--g6", "Bw", "--trials", "30", "--seed", "1"],

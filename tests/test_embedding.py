@@ -1,6 +1,7 @@
 """embed-unique: counting, uniqueness predicates, f-values, estimates."""
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -16,11 +17,11 @@ from uniquesub.canon import aut_order, canonicalize
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, clopper_pearson,
                                  count_embeddings, count_subgraph_copies,
-                                 estimate_unique_prob, f_max_exact, f_of_h, f_table,
+                                 estimate_unique_prob, f_max, f_max_exact, f_of_h, f_table,
                                  has_unique_embedding, is_unique_subgraph, unique_trial)
 from uniquesub.errors import DomainError
-from uniquesub.graphs import (Graph, VertexMap, complement, complete_graph, empty_graph,
-                              from_edges, pair_list, parse_graph6, path_graph)
+from uniquesub.graphs import (Graph, VertexMap, complement, complete_graph, emit_graph6,
+                              empty_graph, from_edges, pair_list, parse_graph6, path_graph)
 from uniquesub.process import sample_trace, uniqueness_interval
 from uniquesub.sampling import derive_rng, gnp_half
 
@@ -51,6 +52,18 @@ class TestCountEmbeddings:
         assert out.kind == "at_least" and out.count == 2
         with pytest.raises(DomainError):
             count_embeddings(complete_graph(2), complete_graph(3), early_exit_at=0)
+
+    @pytest.mark.parametrize("g, h", [
+        (empty_graph(3), complete_graph(3)),  # all six leaves at the last position
+        (empty_graph(1), complete_graph(4)),  # one position, first and last
+        (complete_graph(1), path_graph(3)),
+        (path_graph(3), complete_graph(5)),  # three candidates at each last position
+    ], ids=["3K1-K3", "K1-K4", "K1-P3", "P3-K5"])
+    def test_last_position_count_clamps_at_early_exit(self, g, h):
+        # the last position's candidates are counted at once, clamped to the
+        # early exit where a leaf-by-leaf search would have stopped
+        for early in (None, *range(1, 8)):
+            assert count_embeddings(g, h, early) == plain_count_embeddings(g, h, early), early
 
     def test_against_brute_force_small(self):
         rng = derive_rng(20240, 0)
@@ -191,7 +204,7 @@ class TestFValues:
 
     def test_resource_guard(self, monkeypatch):
         # the census guard refuses order 10 before any level is built or counted
-        calls = {"canonicalize": 0, "count_embeddings": 0}
+        calls = {"canonicalize": 0, "_plan_count": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -200,8 +213,8 @@ class TestFValues:
             return wrapped
 
         monkeypatch.setattr(census, "canonicalize", counting("canonicalize", canonicalize))
-        monkeypatch.setattr(embedding, "count_embeddings",
-                            counting("count_embeddings", count_embeddings))
+        monkeypatch.setattr(embedding, "_plan_count",
+                            counting("_plan_count", embedding._plan_count))
         census._census.cache_clear()
         try:
             for universe in (ALL_SIZES, SPANNING_ONLY):
@@ -209,18 +222,19 @@ class TestFValues:
                     f_of_h(empty_graph(10), universe)
         finally:
             census._census.cache_clear()
-        assert calls == {"canonicalize": 0, "count_embeddings": 0}
+        assert calls == {"canonicalize": 0, "_plan_count": 0}
 
     def test_one_pattern_pass_serves_both_universes(self, monkeypatch):
         # all-sizes f reads the order-6 census alone: of 156 patterns per host,
         # those the host's degrees dominate, less the empty one, are searched
         calls = []
+        search = embedding._plan_count
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return count_embeddings(*args, **kwargs)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(embedding, "count_embeddings", counting)
+        monkeypatch.setattr(embedding, "_plan_count", counting)
         per_universe = {}
         for universe in (ALL_SIZES, SPANNING_ONLY):
             calls.clear()
@@ -262,9 +276,35 @@ class TestFValues:
             for h in enumerate_unlabelled(n):
                 assert f_of_h(h).f == brute_f_value(h)
 
+    def test_f_table_seven_on_two_workers(self):
+        # the first order split across the worker map; one "g6 count" line per
+        # class, and the all-sizes maximum f(7) = 132 * 7! / 2^21
+        table = f_table(7, threads=2)
+        lines = "".join(f"{emit_graph6(fv.h).decode()} {fv.unique_count}\n" for fv in table)
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "850fb6013175234e62e6ea812f236226d21a440ca9b9c1e682d62cd857acb3ef")
+        best = f_max(table)
+        assert (emit_graph6(best.h), best.unique_count) == (b"FDZJw", 132)
+        assert best.f == Fraction(132 * 5040, 2 ** 21)
+
+    @pytest.mark.parametrize("g6, universe, count", [("FDZJw", ALL_SIZES, 132),
+                                                      ("F@U~w", SPANNING_ONLY, 118)])
+    def test_maximisers_at_seven_match_plain_pattern_loop(self, g6, universe, count):
+        h = parse_graph6(g6)
+        assert f_of_h(h, universe).unique_count == plain_unique_count(h, universe) == count
+
+    def test_f_table_below_the_pool_floor_starts_no_pool(self, pools):
+        assert len(f_table(6, threads=2)) == 156 and pools == []
+
+    def test_f_table_is_the_same_on_the_worker_map(self, monkeypatch):
+        # with the floor lowered to 6, the table split across two forked
+        # workers is the one-process table
+        monkeypatch.setattr(embedding, "F_POOL_MIN_N", 6)
+        assert f_table(6, threads=2) == f_table(6, threads=1)
+
     def test_out_of_range(self):
         with pytest.raises(DomainError):
-            f_max_exact(7)
+            f_max_exact(8)
 
 
 class TestEstimate:

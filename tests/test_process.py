@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from uniquesub import process
 from uniquesub.canon import aut_order
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import count_embeddings
@@ -75,6 +76,16 @@ class TestTrajectory:
     def test_order_mismatch(self):
         with pytest.raises(DomainError):
             embedding_trajectory(sample_trace(4, 1), complete_graph(5), [0])
+
+    def test_refuses_ten_vertices_before_any_count(self, monkeypatch):
+        # step 0 alone has 10! embeddings into K10; even a late probe is refused
+        def refuse(*args, **kwargs):
+            raise AssertionError("a search ran")
+
+        monkeypatch.setattr(process, "count_embeddings", refuse)
+        for probes in ([0], [45]):
+            with pytest.raises(DomainError, match=r"1\.\.9 vertices, got 10"):
+                embedding_trajectory(sample_trace(10, 1), complete_graph(10), probes)
 
 
 class TestUniquenessInterval:
