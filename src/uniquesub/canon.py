@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DomainError
-from .graphs import Graph, from_edges, pair_list
+from .graphs import Graph, _graph6_body, _graph6_header, from_edges, pair_list
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,8 @@ def _pack_code(n: int, code: int) -> bytes:
     return bytes([n]) + (code << (8 * nbytes - npairs)).to_bytes(nbytes, "big")
 
 
-def decode_canon_bytes(data: bytes) -> Graph:
-    """Rebuild the canonically labelled graph from its ``canon_bytes``."""
+def _unpack_code(data: bytes) -> tuple[int, int]:
+    """(n, code) of a ``canon_bytes`` encoding, the inverse of ``_pack_code``."""
     if not data:
         raise DomainError("empty canonical encoding")
     n = data[0]
@@ -206,7 +206,12 @@ def decode_canon_bytes(data: bytes) -> Graph:
     nbytes = (npairs + 7) // 8
     if len(data) != 1 + nbytes:
         raise DomainError("canonical encoding has wrong length")
-    code = int.from_bytes(data[1:], "big") >> (8 * nbytes - npairs)
+    return n, int.from_bytes(data[1:], "big") >> (8 * nbytes - npairs)
+
+
+def decode_canon_bytes(data: bytes) -> Graph:
+    """Rebuild the canonically labelled graph from its ``canon_bytes``."""
+    n, code = _unpack_code(data)
     pairs = _pairs_by_bit(n)
     edges = []
     while code:
@@ -216,11 +221,34 @@ def decode_canon_bytes(data: bytes) -> Graph:
     return from_edges(n, edges)
 
 
+def canon_graph6(data: bytes) -> str:
+    """The graph6 string of the canonically labelled graph that ``data``
+    encodes, ``emit_graph6(decode_canon_bytes(data)).decode()``, read
+    straight off the code: each set bit is replaced by its graph6 bit."""
+    n, code = _unpack_code(data)
+    g6_bits = _graph6_bits(n)
+    bits = 0
+    while code:
+        low = code & -code
+        code ^= low
+        bits |= g6_bits[low.bit_length() - 1]
+    return (_graph6_header(n) + _graph6_body(n * (n - 1) // 2, bits)).decode()
+
+
 @lru_cache(maxsize=None)
 def _pairs_by_bit(n: int) -> tuple[tuple[int, int], ...]:
     """The pair each bit of an order-n code stands for, least significant
     bit first; one entry per order, read by every decode of that order."""
     return tuple(reversed(pair_list(n)))
+
+
+@lru_cache(maxsize=None)
+def _graph6_bits(n: int) -> tuple[int, ...]:
+    """The padded graph6 body bit of each bit of an order-n code, least
+    significant first: pair (i, j) is column-major pair j(j-1)/2 + i, and
+    the body's first pair is its most significant bit."""
+    top = 6 * ((n * (n - 1) // 2 + 5) // 6) - 1
+    return tuple(1 << (top - (j * (j - 1) // 2 + i)) for i, j in _pairs_by_bit(n))
 
 
 # maxsize=0 stores nothing.  The wrapper stays only for the benchmark, whose

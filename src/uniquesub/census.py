@@ -62,50 +62,67 @@ def _check_n(n: int) -> None:
         raise DomainError(f"enumeration supports 1..{MAX_ENUMERATION_N} vertices, got {n}")
 
 
-def _new_vertex_minimises(adj: tuple[int, ...], deg: list[int], nbr_sum: list[int],
-                          mask: int) -> bool:
-    """Does a vertex joined to ``mask`` minimise (degree, neighbour-degree sum)
-    over the child's vertices?  Ties count as minimal."""
-    k = mask.bit_count()
-    new_sum = k + sum(deg[u] for u in _bits(mask))
-    for u, row in enumerate(adj):
-        inside = mask >> u & 1
-        d = deg[u] + inside
-        if d < k or d == k and nbr_sum[u] + (row & mask).bit_count() + inside * k < new_sum:
-            return False
-    return True
-
-
 def _children(work: tuple[bytes, int]) -> dict[bytes, int]:
     """{canon_bytes: aut_order} of the order-n children of one order-(n-1)
     class, given as (its canonical bytes, n): the census's work unit.  One
     attachment mask per orbit of the parent's automorphism group is
-    canonicalised, the first of the orbit in ascending order."""
+    canonicalised, the first of the orbit in ascending order.
+
+    The mask tables are built once per parent, each entry extended from the
+    mask without its highest bit: every mask's size and degree sum, and its
+    image under each generator.  With ``below[d]``, the parent's vertices of
+    degree < d, a new vertex of degree k minimises phi only if no vertex
+    outside the mask has degree < k and none inside it degree < k - 1; the
+    vertices left whose child degree ties k are compared by neighbour-degree
+    sum."""
     parent_bytes, n = work
     parent = decode_canon_bytes(parent_bytes)
+    adj = parent.adj
+    deg = [row.bit_count() for row in adj]
+    nbr_sum = [sum(deg[w] for w in _bits(row)) for row in adj]
+    below = [sum(1 << u for u, du in enumerate(deg) if du < d) for d in range(n + 1)]
     generators = canonicalize(parent).generators
-    deg = [row.bit_count() for row in parent.adj]
-    nbr_sum = [sum(deg[w] for w in _bits(row)) for row in parent.adj]
-    base = list(parent.adj) + [0]
+    size, degsum = [0], [0]
+    images: list[list[int]] = [[0] for _ in generators]
+    for v, dv in enumerate(deg):
+        size += [s + 1 for s in size]
+        degsum += [s + dv for s in degsum]
+        for image, g in zip(images, generators):
+            bit = 1 << g[v]
+            image += [m | bit for m in image]
+    base = list(adj) + [0]
+    new_bit = 1 << (n - 1)
     done = bytearray(1 << (n - 1))  # masks in the orbit of one already augmented
     children: dict[bytes, int] = {}
     for mask in range(1 << (n - 1)):
-        if done[mask] or not _new_vertex_minimises(parent.adj, deg, nbr_sum, mask):
+        if done[mask]:
             continue
-        adj = base[:]
-        adj[n - 1] = mask
-        for u in _bits(mask):
-            adj[u] |= 1 << (n - 1)
-        form = canonicalize(Graph(n, tuple(adj)))
-        children.setdefault(form.canon_bytes, form.aut_order)
-        orbit = [mask]
-        while orbit:
-            member = orbit.pop()
-            for image in generators:
-                moved = sum(1 << image[u] for u in _bits(member))
-                if not done[moved]:
-                    done[moved] = 1
-                    orbit.append(moved)
+        k = size[mask]
+        if below[k] & ~mask or below[k - 1] & mask:  # at k = 0, below[-1] meets the empty mask
+            continue
+        new_sum = k + degsum[mask]
+        ties = below[k + 1] & ~mask | below[k] & mask
+        while ties:
+            low = ties & -ties
+            ties ^= low
+            u = low.bit_length() - 1
+            if nbr_sum[u] + (adj[u] & mask).bit_count() + (k if mask & low else 0) < new_sum:
+                break
+        else:
+            child = base[:]
+            child[n - 1] = mask
+            for u in _bits(mask):
+                child[u] |= new_bit
+            form = canonicalize(Graph(n, tuple(child)))
+            children.setdefault(form.canon_bytes, form.aut_order)
+            orbit = [mask]
+            while orbit:
+                member = orbit.pop()
+                for image in images:
+                    moved = image[member]
+                    if not done[moved]:
+                        done[moved] = 1
+                        orbit.append(moved)
     return children
 
 

@@ -18,16 +18,17 @@ import secrets
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Sequence
 
 from . import __version__
 from . import bounds as bounds_mod
-from .census import (MAX_ENUMERATION_N, census_entries, enumerate_unlabelled,
-                     nontrivial_aut_fraction, polya_report)
+from .canon import canon_graph6
+from .census import MAX_ENUMERATION_N, census_entries, nontrivial_aut_fraction, polya_report
 from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h, f_table,
                         unique_trial)
 from .errors import DomainError, UniquesubError
-from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
+from .graphs import Graph, VertexMap, emit_graph6, ingest_corpus, parse_graph6
 from .parallel import parallel_map
 from .process import (check_scan_order, embedding_trajectory, sample_trace,
                       uniqueness_interval, x_statistic)
@@ -91,8 +92,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> dict[str, Any]:
-    census_entries(args.n, args.threads)  # builds the census on --threads workers
-    lines = [emit_graph6(g).decode() for g in enumerate_unlabelled(args.n)]
+    lines = [canon_graph6(canon_bytes) for canon_bytes, _ in census_entries(args.n, args.threads)]
     payload = {"n": args.n, "count": len(lines), "graphs": lines}
     if args.out:
         with open(args.out, "w") as fh:
@@ -147,9 +147,16 @@ def _cmd_f_of_h(args: argparse.Namespace) -> dict[str, Any]:
     return _f_entry(f_of_h(h, _universe(args)))
 
 
+@lru_cache(maxsize=1)
+def _host(h_g6: str) -> Graph:
+    """The host of a run's work units, parsed once per process: every unit
+    of a run names the same host."""
+    return parse_graph6(h_g6)
+
+
 def _estimate_trial(work: tuple[str, int, int]) -> bool:
     h_g6, seed, index = work
-    return unique_trial(parse_graph6(h_g6), seed, index)
+    return unique_trial(_host(h_g6), seed, index)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
@@ -171,7 +178,7 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
 
 def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, Any]:
     h_g6, seed, index, L, scan_all = work
-    h = parse_graph6(h_g6)
+    h = _host(h_g6)
     trace = sample_trace(h.n, seed, index)
     rec: dict[str, Any] = {"trace_index": index, "seed": seed}
     if L is None:

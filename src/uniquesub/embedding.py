@@ -66,13 +66,18 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
     With ``early_exit_at=k`` the search stops at the k-th embedding and
     reports k with ``is_exact`` False.  A larger ``g`` than ``h`` yields zero
     by convention (no injection exists).  The search follows ``g``'s plan
-    (``_plan``, ``_plan_count``).
+    (``_plan``, ``_plan_count``).  It is skipped, with a count of zero,
+    unless the host's descending degrees dominate ``g``'s term by term, as
+    in ``f_of_h``'s rule 1: the i + 1 vertices of ``g`` of degree at least d
+    go to distinct host vertices of degree at least d.
     """
     if early_exit_at is not None and early_exit_at < 1:
         raise DomainError("early_exit_at must be at least 1")
     if g.n > h.n:
         return CountOutcome(0)
     degrees, prev = _plan(g)
+    if not all(map(ge, sorted(map(int.bit_count, h.adj), reverse=True), degrees)):
+        return CountOutcome(0)
     count = _plan_count(degrees, prev, h.adj, _degree_masks(h), early_exit_at)
     return CountOutcome(count, early_exit_at is None or count < early_exit_at)
 
@@ -169,10 +174,24 @@ def is_unique_subgraph(g: Graph, h: Graph) -> bool:
 
 
 def has_unique_embedding(g: Graph, h: Graph) -> bool:
-    """Exactly one embedding of ``g`` into ``h``; orders must match."""
+    """Exactly one embedding of ``g`` into ``h``; orders must match.
+
+    Twins answer before any count: two vertices with equal open or equal
+    closed neighbourhoods give a graph an automorphism swapping them.
+    Aut(G) acts freely on the embeddings by composition, and so does
+    Aut(H), since at equal order every embedding is onto; so with twins in
+    either graph the count is even, never 1."""
     if g.n != h.n:
         raise DomainError("unique-embedding test requires equal vertex counts")
+    if _has_twins(g.adj) or _has_twins(h.adj):
+        return False
     return count_embeddings(g, h, early_exit_at=2).is_one
+
+
+def _has_twins(adj: Sequence[int]) -> bool:
+    """Do two vertices share their open, or their closed, neighbourhood?"""
+    return (len(set(adj)) < len(adj)
+            or len({row | 1 << u for u, row in enumerate(adj)}) < len(adj))
 
 
 @dataclass(frozen=True)

@@ -237,21 +237,27 @@ def parse_graph6(data: bytes | str) -> Graph:
                           if bits >> (npairs - 1 - idx) & 1])
 
 
+def _graph6_header(n: int) -> bytes:
+    if n <= 62:
+        return bytes([n + 63])
+    return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+
+
+def _graph6_body(npairs: int, bits: int) -> bytes:
+    """The body bytes of the ``npairs`` column-major pair bits held in the
+    low end of ``bits``, first pair most significant, already padded."""
+    nbytes = (npairs + 5) // 6
+    return bytes(((bits >> (6 * (nbytes - 1 - k))) & 63) + 63 for k in range(nbytes))
+
+
 def emit_graph6(g: Graph) -> bytes:
     n = g.n
-    if n <= 62:
-        head = bytes([n + 63])
-    else:
-        head = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
     npairs = n * (n - 1) // 2
     bits = 0
     for i, j in _column_major_pairs(n):
         bits = (bits << 1) | (g.adj[i] >> j & 1)
     pad = (6 - npairs % 6) % 6
-    bits <<= pad
-    nbytes = (npairs + 5) // 6
-    body = bytes(((bits >> (6 * (nbytes - 1 - k))) & 63) + 63 for k in range(nbytes))
-    return head + body
+    return _graph6_header(n) + _graph6_body(npairs, bits << pad)
 
 
 def ingest_corpus(path: str, skip_bad: bool = False) -> Iterator[tuple[int, Graph | None, str | None]]:

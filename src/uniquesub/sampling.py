@@ -10,9 +10,10 @@ sample therefore never load numpy.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, from_edges, pair_list
+from .graphs import Graph, pair_list
 
 if TYPE_CHECKING:
     import numpy as np
@@ -30,10 +31,27 @@ def derive_rng(seed: int, index: int | None = None) -> np.random.Generator:
 
 
 def gnp_half(n: int, rng: np.random.Generator) -> Graph:
-    """Uniform labelled graph on n vertices (each pair an edge with prob 1/2)."""
-    pairs = pair_list(n)
-    raw = rng.bytes((len(pairs) + 7) // 8)
-    return from_edges(n, [pair for idx, pair in enumerate(pairs) if raw[idx >> 3] >> (idx & 7) & 1])
+    """Uniform labelled graph on n vertices (each pair an edge with prob 1/2).
+
+    Bit i of the drawn bytes, lowest bit of the first byte first, decides
+    row-major pair i; the bits past the last pair are drawn and dropped."""
+    pair_bits = _pair_bits(n)
+    npairs = len(pair_bits)
+    code = int.from_bytes(rng.bytes((npairs + 7) // 8), "little") & ((1 << npairs) - 1)
+    adj = [0] * n
+    while code:
+        low = code & -code
+        code ^= low
+        u, v, bit_u, bit_v = pair_bits[low.bit_length() - 1]
+        adj[u] |= bit_v
+        adj[v] |= bit_u
+    return Graph(n, tuple(adj))
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(u, v, 1 << u, 1 << v) of each row-major pair of order n."""
+    return tuple((u, v, 1 << u, 1 << v) for u, v in pair_list(n))
 
 
 def random_pair_order(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:

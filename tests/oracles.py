@@ -5,13 +5,16 @@ and canonicalizes by minimizing over all vertex permutations, so none of
 the production refinement/search code is in the loop.  The exceptions check
 one layer each on top of production code: ``unfiltered_census`` checks only
 the census's augmentation filter and so keys its classes by the production
-canonical form, ``plain_children`` checks only the census's one mask per
-orbit of the parent's automorphism group and so shares its filter and
-canonical form, ``exhaustive_canon`` checks only the canonical search's
-automorphism pruning and so shares its equitable refinement, and
+canonical form, ``minimising_masks`` is that filter one mask at a time,
+the reference for the census's mask tables, ``plain_children`` checks only
+the census's one mask per orbit of the parent's automorphism group and so
+runs that filter and the production canonical form, ``exhaustive_canon``
+checks only the canonical search's automorphism pruning and so shares its
+equitable refinement, and
 ``plain_count_embeddings`` and ``plain_unique_count`` are the embedding
 search without degree filtering and the f pattern loop without the pattern
 table, skips or isolated-vertex stripping, over the production census.
+``gnp_half_from_edges`` is the sampler through a pair list, and
 ``beta_ppf_interval`` is the Clopper-Pearson interval through
 ``scipy.stats.beta.ppf``, the reference for the production quantile call.
 ``to_networkx`` and ``vf2_count_embeddings`` hand graphs to networkx, whose
@@ -31,7 +34,7 @@ from scipy.stats import beta
 
 from uniquesub.canon import (CanonicalForm, _pack_code, _refine, canonicalize,
                              decode_canon_bytes)
-from uniquesub.census import _new_vertex_minimises, census_entries
+from uniquesub.census import census_entries
 from uniquesub.embedding import ALL_SIZES, CI_ALPHA, CountOutcome
 from uniquesub.errors import DomainError
 from uniquesub.graphs import Graph, _bits, from_edges, pair_list
@@ -144,20 +147,41 @@ def exhaustive_canon(g: Graph) -> CanonicalForm:
     return CanonicalForm(_pack_code(n, best_code), len(autos) + 1, tuple(autos))
 
 
+def _new_vertex_minimises(adj: tuple[int, ...], deg: list[int], nbr_sum: list[int],
+                          mask: int) -> bool:
+    """Does a vertex joined to ``mask`` minimise (degree, neighbour-degree sum)
+    over the child's vertices?  Ties count as minimal."""
+    k = mask.bit_count()
+    new_sum = k + sum(deg[u] for u in _bits(mask))
+    for u, row in enumerate(adj):
+        inside = mask >> u & 1
+        d = deg[u] + inside
+        if d < k or d == k and nbr_sum[u] + (row & mask).bit_count() + inside * k < new_sum:
+            return False
+    return True
+
+
+def minimising_masks(parent: Graph) -> list[int]:
+    """The attachment masks, ascending, whose new vertex minimises
+    (degree, neighbour-degree sum) over the child: the census's filter, one
+    mask at a time."""
+    deg = [row.bit_count() for row in parent.adj]
+    nbr_sum = [sum(deg[w] for w in _bits(row)) for row in parent.adj]
+    return [mask for mask in range(1 << parent.n)
+            if _new_vertex_minimises(parent.adj, deg, nbr_sum, mask)]
+
+
 def plain_children(work: tuple[bytes, int]) -> dict[bytes, int]:
     """The census's work unit without the parent's automorphisms: every
     attachment mask that passes the (degree, neighbour-degree sum) filter is
     canonicalised."""
     parent_bytes, n = work
     parent = decode_canon_bytes(parent_bytes)
-    deg = [row.bit_count() for row in parent.adj]
-    nbr_sum = [sum(deg[w] for w in _bits(row)) for row in parent.adj]
     children: dict[bytes, int] = {}
-    for mask in range(1 << (n - 1)):
-        if _new_vertex_minimises(parent.adj, deg, nbr_sum, mask):
-            adj = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
-            form = canonicalize(Graph(n, (*adj, mask)))
-            children.setdefault(form.canon_bytes, form.aut_order)
+    for mask in minimising_masks(parent):
+        adj = [row | (mask >> u & 1) << (n - 1) for u, row in enumerate(parent.adj)]
+        form = canonicalize(Graph(n, (*adj, mask)))
+        children.setdefault(form.canon_bytes, form.aut_order)
     return children
 
 
@@ -176,6 +200,15 @@ def unfiltered_census(n: int) -> tuple[tuple[bytes, int], ...]:
                 children.append(Graph(n, (*adj, mask)))
     forms = [canonicalize(g) for g in children]
     return tuple(sorted({f.canon_bytes: f.aut_order for f in forms}.items()))
+
+
+def gnp_half_from_edges(n: int, rng) -> Graph:
+    """``sampling.gnp_half`` as a pair list through ``from_edges``: bit idx
+    of the drawn bytes, lowest bit of each byte first, decides row-major
+    pair idx."""
+    pairs = pair_list(n)
+    raw = rng.bytes((len(pairs) + 7) // 8)
+    return from_edges(n, [pair for idx, pair in enumerate(pairs) if raw[idx >> 3] >> (idx & 7) & 1])
 
 
 def brute_count_embeddings(g: Graph, h: Graph) -> int:

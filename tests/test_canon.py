@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 from oracles import (bucket_all_labelled, exhaustive_canon, graph_from_mask, mask_from_graph,
                      random_graph, to_networkx)
-from uniquesub.canon import are_isomorphic, aut_order, canonicalize, decode_canon_bytes
-from uniquesub.census import enumerate_unlabelled
-from uniquesub.graphs import (complement, complete_graph, cycle_graph, empty_graph,
+from uniquesub.canon import (are_isomorphic, aut_order, canon_graph6, canonicalize,
+                             decode_canon_bytes)
+from uniquesub.census import census_entries, enumerate_unlabelled
+from uniquesub.graphs import (complement, complete_graph, cycle_graph, emit_graph6, empty_graph,
                               from_edges, parse_graph6, path_graph, relabel)
 
 
@@ -74,6 +75,16 @@ class TestCanonicalForm:
         for n in (3, 4, 5):
             for g in enumerate_unlabelled(n):
                 assert factorial(n) % aut_order(g) == 0
+
+    def test_graph6_read_off_the_code(self):
+        # every class to n = 8, and seeded graphs past it: the graph6 header
+        # takes four bytes from n = 63
+        codes = [b for n in range(1, 9) for b, _ in census_entries(n)]
+        rng = random.Random(63)
+        codes += [canonicalize(random_graph(n, p, rng)).canon_bytes
+                  for n in (9, 16, 62, 63, 64) for p in (0.2, 0.5, 0.8)]
+        for data in codes:
+            assert canon_graph6(data) == emit_graph6(decode_canon_bytes(data)).decode()
 
     def test_classes_match_brute_buckets(self):
         # production canonical keys induce exactly the brute-force partition

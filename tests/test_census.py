@@ -8,9 +8,9 @@ from math import factorial
 
 import pytest
 
-from oracles import bucket_all_labelled, plain_children, unfiltered_census
+from oracles import bucket_all_labelled, minimising_masks, plain_children, unfiltered_census
 from uniquesub import canon, census, parallel
-from uniquesub.canon import canonicalize
+from uniquesub.canon import CanonicalForm, canonicalize, decode_canon_bytes
 from uniquesub.census import (MAX_ENUMERATION_N, aut_orders, census_entries,
                               enumerate_unlabelled, nontrivial_aut_fraction, polya_report,
                               unlabelled_count)
@@ -59,6 +59,24 @@ class TestEnumeration:
         for parent_bytes, _ in census_entries(n):
             work = (parent_bytes, n + 1)
             assert census._children(work) == plain_children(work)
+
+    def test_table_filter_accepts_the_reference_masks(self, monkeypatch):
+        # Every mask of every parent of order 1..7.  The stand-in search
+        # gives the parent no generators, so no mask is skipped as a repeat
+        # in an orbit, and each child reaching it carries its mask as its
+        # last row.
+        parents = [(b, n) for n in range(1, 8) for b, _ in census_entries(n)]
+        searched: list[int] = []
+
+        def no_search(g):
+            searched.append(g.adj[-1])
+            return CanonicalForm(bytes(g.adj), 1, ())
+
+        monkeypatch.setattr(census, "canonicalize", no_search)
+        for parent_bytes, n in parents:
+            searched.clear()
+            census._children((parent_bytes, n + 1))
+            assert searched[1:] == minimising_masks(decode_canon_bytes(parent_bytes))
 
     def test_complete_at_eight(self):
         # A000088(8), and the Polya identity: a class dropped by the

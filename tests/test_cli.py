@@ -179,6 +179,14 @@ def count_calls(monkeypatch, name, *modules):
 
 
 class TestOnePathPerCommand:
+    def test_work_units_parse_their_host_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "parse_graph6", cli)
+        cli._host.cache_clear()
+        wins = sum(cli._estimate_trial(("Gyh|^k", 1, i)) for i in range(6000))
+        cli._process_one(("Gyh|^k", 1, 0, 0.5, False))
+        assert calls == ["parse_graph6"]
+        assert wins == 109  # as when every trial parsed the host
+
     def test_f_exact_guard_runs_before_any_f_value(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
         code, _, err = run_cli(capsys, "f-exact", "--n", "8")

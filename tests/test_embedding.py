@@ -173,6 +173,26 @@ class TestUniquePredicates:
         with pytest.raises(DomainError):
             has_unique_embedding(complete_graph(2), complete_graph(3))
 
+    @pytest.mark.parametrize("host_g6", ["DhC", "Dhc", "D{O", "D~{", "D]o"],
+                             ids=["P5", "C5", "bull", "K5", "K2,3"])
+    def test_shortcuts_agree_with_a_plain_search_at_five(self, host_g6):
+        # every labelled 5-vertex pattern; K5 and K2,3 have twins, the
+        # others none, and P5 and C5 fail the degree rule for most patterns
+        h = parse_graph6(host_g6)
+        for g in _all_labelled(5):
+            assert has_unique_embedding(g, h) == (plain_count_embeddings(g, h, 2).count == 1)
+
+    @pytest.mark.parametrize("host_g6", ["Gyh|^k", "GZehmW"])  # rigid, 20 and 16 edges
+    def test_shortcuts_agree_with_a_plain_search_at_eight(self, host_g6):
+        h = parse_graph6(host_g6)
+        outcomes = set()
+        for i in range(2000):
+            g = gnp_half(8, derive_rng(808, i))
+            unique = has_unique_embedding(g, h)
+            assert unique == (plain_count_embeddings(g, h, 2).count == 1)
+            outcomes.add(unique)
+        assert outcomes == {True, False}
+
     def test_equivalence_law_exhaustive_n3(self):
         for g in _all_labelled(3):
             rigid = aut_order(g) == 1

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
+from oracles import gnp_half_from_edges
 from uniquesub.graphs import emit_graph6, pair_list
 from uniquesub.sampling import derive_rng, gnp_half, random_pair_order
 
@@ -42,6 +44,15 @@ def test_gnp_half_pinned_samples():
     # each random byte's bits, lowest first, are the row-major pairs in turn
     assert [emit_graph6(gnp_half(8, derive_rng(1, i))) for i in range(4)] == [
         b"G{NvPW", b"GCeeCG", b"GvBE|o", b"GazLD?"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 64])
+def test_gnp_half_equals_the_pair_list_sampler(n):
+    # the same graphs from the same streams, which are left in the same state
+    for i in range(200):
+        rng, ref = derive_rng(31, i), derive_rng(31, i)
+        assert gnp_half(n, rng) == gnp_half_from_edges(n, ref)
+        assert rng.bytes(8) == ref.bytes(8)
 
 
 def test_random_pair_order_is_permutation_with_uniform_start():
