@@ -69,9 +69,9 @@ def _children(work: tuple[bytes, int]) -> dict[bytes, int]:
     canonicalised, the first of the orbit in ascending order.
 
     The mask tables are built once per parent, each entry extended from the
-    mask without its highest bit: every mask's size and degree sum, and its
-    image under each generator.  With ``below[d]``, the parent's vertices of
-    degree < d, a new vertex of degree k minimises phi only if no vertex
+    mask without its highest bit: every mask's degree sum and its image under
+    each generator.  With ``below[d]``, the parent's vertices of degree < d,
+    a new vertex of degree k = |mask| minimises phi only if no vertex
     outside the mask has degree < k and none inside it degree < k - 1; the
     vertices left whose child degree ties k are compared by neighbour-degree
     sum."""
@@ -82,10 +82,9 @@ def _children(work: tuple[bytes, int]) -> dict[bytes, int]:
     nbr_sum = [sum(deg[w] for w in _bits(row)) for row in adj]
     below = [sum(1 << u for u, du in enumerate(deg) if du < d) for d in range(n + 1)]
     generators = canonicalize(parent).generators
-    size, degsum = [0], [0]
+    degsum = [0]
     images: list[list[int]] = [[0] for _ in generators]
     for v, dv in enumerate(deg):
-        size += [s + 1 for s in size]
         degsum += [s + dv for s in degsum]
         for image, g in zip(images, generators):
             bit = 1 << g[v]
@@ -97,7 +96,7 @@ def _children(work: tuple[bytes, int]) -> dict[bytes, int]:
     for mask in range(1 << (n - 1)):
         if done[mask]:
             continue
-        k = size[mask]
+        k = mask.bit_count()
         if below[k] & ~mask or below[k - 1] & mask:  # at k = 0, below[-1] meets the empty mask
             continue
         new_sum = k + degsum[mask]

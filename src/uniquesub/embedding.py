@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from math import factorial, perm
 from operator import ge
 from typing import Iterable, NamedTuple, Sequence
 
@@ -65,35 +65,48 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
 
     With ``early_exit_at=k`` the search stops at the k-th embedding and
     reports k with ``is_exact`` False.  A larger ``g`` than ``h`` yields zero
-    by convention (no injection exists).  The search follows ``g``'s plan
-    (``_plan``, ``_plan_count``).  It is skipped, with a count of zero,
-    unless the host's descending degrees dominate ``g``'s term by term, as
-    in ``f_of_h``'s rule 1: the i + 1 vertices of ``g`` of degree at least d
-    go to distinct host vertices of degree at least d.
+    by convention (no injection exists).  ``_count`` holds the exact rules.
     """
     if early_exit_at is not None and early_exit_at < 1:
         raise DomainError("early_exit_at must be at least 1")
     if g.n > h.n:
         return CountOutcome(0)
-    degrees, prev = _plan(g)
-    if not all(map(ge, sorted(map(int.bit_count, h.adj), reverse=True), degrees)):
-        return CountOutcome(0)
-    count = _plan_count(degrees, prev, h.adj, _degree_masks(h), early_exit_at)
+    count = _count(*_plan(g), _host(h), early_exit_at)
     return CountOutcome(count, early_exit_at is None or count < early_exit_at)
+
+
+def _count(degrees: Sequence[int], prev: Sequence[Sequence[int]],
+           host: tuple[list[int], Sequence[int], list[int]], early_exit_at: int | None) -> int:
+    """Embeddings of the pattern with plan (``degrees``, ``prev``) into
+    ``host`` (``_host``), clamped to ``early_exit_at``, by two exact rules:
+
+    1. Zero unless the host's descending degrees dominate the pattern's term
+       by term, since an embedding is injective and never lowers a degree.
+    2. Only the live positions ``prev`` are searched: each live embedding
+       leaves m host vertices free, which the k isolated vertices fill in
+       perm(m, k) ways, so the search stops at ceil(early_exit_at / perm(m, k)).
+    """
+    hdeg, hadj, at_least = host
+    if not all(map(ge, hdeg, degrees)):
+        return 0
+    fill = perm(len(hdeg) - len(prev), len(degrees) - len(prev))
+    threshold = early_exit_at and -(-early_exit_at // fill)
+    count = (_plan_count(degrees, prev, hadj, at_least, threshold) if prev else 1) * fill
+    return count if early_exit_at is None else min(count, early_exit_at)
 
 
 def _plan(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
     """The search plan of pattern ``g``: its vertices in descending degree
     order, ties to the lower vertex, given as their degrees and, for each
-    position, the earlier positions adjacent to it.  Isolated vertices come
-    last."""
+    live (non-isolated) position, the earlier positions adjacent to it.
+    Isolated vertices come last."""
     adj = g.adj
     deg = list(map(int.bit_count, adj))
     order = sorted(range(g.n), key=deg.__getitem__, reverse=True)  # stable: ties keep vertex order
     pos = sorted(range(g.n), key=order.__getitem__)  # the inverse of order
     prev = []
     earlier = 0
-    for v in order:
+    for v in order[:g.n - deg.count(0)]:
         row = adj[v] & earlier
         nbrs = []
         while row:
@@ -105,14 +118,17 @@ def _plan(g: Graph) -> tuple[tuple[int, ...], list[list[int]]]:
     return tuple(map(deg.__getitem__, order)), prev
 
 
-def _degree_masks(h: Graph) -> list[int]:
-    """Entry d holds the host vertices of degree at least d, for d = 0..n."""
+def _host(h: Graph) -> tuple[list[int], tuple[int, ...], list[int]]:
+    """The host as ``_count`` reads it: its degrees in descending order, its
+    rows, and its degree masks, entry d holding the vertices of degree at
+    least d, for d = 0..n."""
+    deg = list(map(int.bit_count, h.adj))
     at_least = [0] * (h.n + 1)
-    for w, row in enumerate(h.adj):
-        at_least[row.bit_count()] |= 1 << w
+    for w, d in enumerate(deg):
+        at_least[d] |= 1 << w
     for d in range(h.n - 1, -1, -1):
         at_least[d] |= at_least[d + 1]
-    return at_least
+    return sorted(deg, reverse=True), h.adj, at_least
 
 
 def _plan_count(degrees: Sequence[int], prev: Sequence[Sequence[int]], hadj: Sequence[int],
@@ -206,9 +222,9 @@ class FValue:
 class _Pattern(NamedTuple):
     """One order-n pattern class G, as ``f_of_h`` tests it."""
 
-    degrees: tuple[int, ...]  # G's degrees, descending: the plan's and the skip's
-    prev: tuple[tuple[int, ...], ...]  # G's plan, cut after its live vertices
-    aut: int  # |Aut(G')| = |Aut(G)| / k!, for k isolated vertices
+    degrees: tuple[int, ...]  # G's degrees, descending, as ``_plan`` orders them
+    prev: tuple[tuple[int, ...], ...]  # the plan's earlier neighbours of each live position
+    aut: int  # |Aut(G)|
     weight: int  # all-sizes weight: 2 when G has an isolated vertex and an edge
 
 
@@ -220,11 +236,10 @@ def _pattern_table(n: int) -> tuple[_Pattern, ...]:
     table = []
     for canon_bytes, aut in census_entries(n):
         degrees, prev = _plan(decode_canon_bytes(canon_bytes))
-        k = degrees.count(0)
-        live = list(map(tuple, prev[:n - k]))
+        live = list(map(tuple, prev))
         table.append(_Pattern(shared.setdefault(degrees, degrees),
                               tuple(map(shared.setdefault, live, live)),
-                              aut // factorial(k), 1 + (0 < k < n)))
+                              aut, 1 + (0 < len(live) < n)))
     return tuple(table)
 
 
@@ -239,33 +254,18 @@ def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     many copies as G + (n-k)K1, an order-n pattern with an isolated vertex
     and an edge that stands for G alone, so all-sizes counts it twice.
 
-    Each order-n pattern G, with k isolated vertices and core G' (G without
-    them), is decided by three exact rules:
-
-    1. G is skipped unless the descending degrees of ``h`` dominate G's
-       term by term: an embedding is a bijection onto the host's vertices
-       that sends each vertex to one of at least its degree.
-    2. The empty pattern is always unique: its one copy is the host's
-       vertex set with no edges.
-    3. Any other G is unique iff G' has exactly |Aut(G')| embeddings into
-       ``h``: every embedding of G' leaves k host vertices unused, which
-       the isolated vertices fill in k! ways, so count(G) = k! count(G')
-       and |Aut(G)| = k! |Aut(G')|.  G's plan places the isolated vertices
-       last, so G' is searched by G's plan cut after its live vertices.
+    An order-n pattern G is unique iff it has exactly |Aut(G)| embeddings
+    into ``h``, as ``_count`` decides.
     """
     n = h.n
     table = _pattern_table(n)  # the census guard trips before the universe check
     if universe not in (ALL_SIZES, SPANNING_ONLY):
         raise DomainError(f"unknown universe {universe!r}")
-    all_sizes = universe == ALL_SIZES
-    hdeg = sorted((row.bit_count() for row in h.adj), reverse=True)
-    hadj, at_least = h.adj, _degree_masks(h)
+    host = _host(h)
     unique = 0
     for degrees, prev, aut, weight in table:
-        if not all(map(ge, hdeg, degrees)):
-            continue
-        if not prev or _plan_count(degrees, prev, hadj, at_least, aut + 1) == aut:
-            unique += weight if all_sizes else 1
+        if _count(degrees, prev, host, aut + 1) == aut:
+            unique += weight if universe == ALL_SIZES else 1
     denominator = Fraction(2 ** (n * (n - 1) // 2), factorial(n))
     return FValue(h=h, universe=universe, unique_count=unique,
                   denominator=denominator, f=Fraction(unique) / denominator)

@@ -19,10 +19,11 @@ from .errors import DomainError
 from .graphs import Graph, MAX_VERTICES, from_edges
 from .sampling import derive_rng, random_pair_order
 
-# An embedding trajectory counts every embedding at each probed step, and
-# step 0, the empty pattern, has n! of them: one full K7 trajectory took
-# 0.15 s, K8 1.7 s and K9 18.8 s (one process, 2-vCPU VM), so K10 would take
-# minutes.  The same limit as the census's MAX_ENUMERATION_N.
+# An embedding trajectory counts every embedding at each probed step.  Step
+# 0's n! are counted without a search, its vertices all being isolated, but
+# the middle steps' live parts still span nearly every vertex: one full K7
+# trajectory took 0.10 s, K8 1.0 s and K9 10.6 s (one process, 2-vCPU VM),
+# so K10 would take minutes.  The same limit as the census's MAX_ENUMERATION_N.
 SCAN_ALL_MAX_N = 9
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -54,16 +55,23 @@ class TestCountEmbeddings:
             count_embeddings(complete_graph(2), complete_graph(3), early_exit_at=0)
 
     @pytest.mark.parametrize("g, h", [
-        (empty_graph(3), complete_graph(3)),  # all six leaves at the last position
-        (empty_graph(1), complete_graph(4)),  # one position, first and last
+        (empty_graph(3), complete_graph(3)),  # no live vertex: six fills
+        (empty_graph(1), complete_graph(4)),  # one isolated vertex, four fills
         (complete_graph(1), path_graph(3)),
         (path_graph(3), complete_graph(5)),  # three candidates at each last position
     ], ids=["3K1-K3", "K1-K4", "K1-P3", "P3-K5"])
     def test_last_position_count_clamps_at_early_exit(self, g, h):
-        # the last position's candidates are counted at once, clamped to the
-        # early exit where a leaf-by-leaf search would have stopped
+        # isolated vertices and the last position's candidates are counted at
+        # once, clamped to the early exit where a leaf-by-leaf search stops
         for early in (None, *range(1, 8)):
             assert count_embeddings(g, h, early) == plain_count_embeddings(g, h, early), early
+
+    def test_isolated_vertices_are_counted_not_searched(self):
+        # a search over the isolated vertices would visit 64! leaves
+        assert count_embeddings(empty_graph(64), complete_graph(64)).count == factorial(64)
+        k2_62k1 = from_edges(64, [(0, 1)])
+        assert count_embeddings(k2_62k1, complete_graph(64)).count == 64 * 63 * factorial(62)
+        assert count_subgraph_copies(empty_graph(9), complete_graph(9)).count == 1
 
     def test_against_brute_force_small(self):
         rng = derive_rng(20240, 0)
@@ -83,13 +91,15 @@ class TestCountEmbeddings:
             assert min(exact, 2) == min(fast.count, 2)
 
     def test_matches_plain_search_on_class_pairs(self):
-        # the degree filter drops only dead branches: same count and exit
+        # the degree filter drops only dead branches, and the isolated
+        # vertices' fill and its early exit match their leaves: same count and exit
         classes = {n: list(enumerate_unlabelled(n)) for n in range(1, 6)}
         for nh in classes:
             for h in classes[nh]:
                 for ng in range(1, nh + 1):
                     for g in classes[ng]:
-                        for early in (None, 1, 2, aut_order(g) + 1):
+                        aut = aut_order(g)
+                        for early in (None, 1, 2, 3, aut, aut + 1):
                             assert (count_embeddings(g, h, early)
                                     == plain_count_embeddings(g, h, early)), (g, h, early)
 
