@@ -211,7 +211,7 @@ def union_budget(n: int, log_base: float | None = None) -> Fraction | mpmath.mpf
     import mpmath
 
     with mpmath.workdps(PRECISION_DPS):
-        return mpmath.mpf(factorial(n)) * mpmath.e ** (
+        return mpmath.factorial(n) * mpmath.e ** (
             -n * mpmath.log(n) / mpmath.log(log_base))
 
 

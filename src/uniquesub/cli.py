@@ -214,11 +214,8 @@ def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
     g = parse_graph6(args.g)
     pi = VertexMap(hc.n, hc.n, tuple(int(tok) for tok in args.pi.split(",")))
     ctx = SwitchContext(hc, g, pi)
-    pairs = None
-    if args.pairs is not None:
-        members = [int(tok) for tok in _tokens(args.pairs)]
-        pairs = [(u, v) for i, u in enumerate(members) for v in members[i + 1:] if u != v]
-    found = find_switch(ctx, pairs)
+    members = None if args.pairs is None else [int(tok) for tok in _tokens(args.pairs)]
+    found = find_switch(ctx, members)
     payload: dict[str, Any] = {
         "hc_g6": args.hc,
         "g_g6": args.g,

@@ -7,6 +7,7 @@ desk scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, Graph6Error
@@ -158,6 +159,8 @@ def complement(g: Graph) -> Graph:
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply a permutation: result has edge ``perm[u] perm[v]`` iff ``uv`` in ``g``."""
+    if sorted(perm) != list(range(g.n)):
+        raise DomainError(f"relabelling is not a permutation of 0..{g.n - 1}")
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
@@ -177,16 +180,74 @@ def pair_list(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-# --- graph6 codec -----------------------------------------------------------
+# --- pair codes ---------------------------------------------------------------
 #
-# Published format: header N(n) is one byte n+63 for n <= 62, else 126
-# followed by three bytes holding n in 6-bit big-endian groups (+63 each).
-# The body packs the upper triangle column-major -- x(0,1), x(0,2), x(1,2),
+# A code of order n is an integer whose bit i stands for row-major pair i,
+# the convention of the drawn G(n, 1/2) bytes and of the canonical code.
+# graph6 packs the same pairs column-major -- x(0,1), x(0,2), x(1,2),
 # x(0,3), ... -- six bits per byte, most significant bit first, zero-padded.
+# Its header N(n) is one byte n+63 for n <= 62, else 126 followed by three
+# bytes holding n in 6-bit big-endian groups (+63 each).
 
 
-def _column_major_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(u, v, 1 << u, 1 << v, g6) of each row-major pair (u, v) of order n,
+    where g6 is its bit in the padded graph6 body: the pair is column-major
+    pair v(v-1)/2 + u, and the body's first pair is its most significant bit."""
+    top = 6 * ((n * (n - 1) // 2 + 5) // 6) - 1
+    return tuple((u, v, 1 << u, 1 << v, 1 << (top - (v * (v - 1) // 2 + u)))
+                 for u, v in pair_list(n))
+
+
+def _code_pairs(n: int, code: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The pair table of order n, once n and ``code`` are checked against it."""
+    if not 1 <= n <= MAX_VERTICES:  # before the order's table is built and kept
+        raise DomainError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    pair_bits = _pair_bits(n)
+    if code < 0 or code >> len(pair_bits):
+        raise DomainError(f"code has bits beyond the {len(pair_bits)} pairs of order {n}")
+    return pair_bits
+
+
+def from_code(n: int, code: int) -> Graph:
+    """The graph whose row-major pair i is an edge iff bit i of ``code`` is set."""
+    pair_bits = _code_pairs(n, code)
+    adj = [0] * n
+    while code:
+        low = code & -code
+        code ^= low
+        u, v, bit_u, bit_v, _ = pair_bits[low.bit_length() - 1]
+        adj[u] |= bit_v
+        adj[v] |= bit_u
+    return Graph(n, tuple(adj))
+
+
+def graph6_of_code(n: int, code: int) -> bytes:
+    """``emit_graph6(from_code(n, code))``, read straight off the code: each
+    set bit is replaced by its graph6 bit."""
+    pair_bits = _code_pairs(n, code)
+    bits = 0
+    while code:
+        low = code & -code
+        code ^= low
+        bits |= pair_bits[low.bit_length() - 1][4]
+    return _graph6(n, bits)
+
+
+def _graph6(n: int, bits: int) -> bytes:
+    """Header and body of the padded graph6 body ``bits`` of order n."""
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if n <= 62:
+        header = bytes([n + 63])
+    else:
+        header = bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    return header + bytes(((bits >> (6 * (nbytes - 1 - k))) & 63) + 63 for k in range(nbytes))
+
+
+def emit_graph6(g: Graph) -> bytes:
+    adj = g.adj
+    return _graph6(g.n, sum(g6 for u, v, _, _, g6 in _pair_bits(g.n) if adj[u] >> v & 1))
 
 
 def parse_graph6(data: bytes | str) -> Graph:
@@ -232,32 +293,12 @@ def parse_graph6(data: bytes | str) -> Graph:
     pad = 6 * nbytes - npairs
     if pad and bits & ((1 << pad) - 1):
         raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
-    bits >>= pad
-    return from_edges(n, [pair for idx, pair in enumerate(_column_major_pairs(n))
-                          if bits >> (npairs - 1 - idx) & 1])
-
-
-def _graph6_header(n: int) -> bytes:
-    if n <= 62:
-        return bytes([n + 63])
-    return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-
-
-def _graph6_body(npairs: int, bits: int) -> bytes:
-    """The body bytes of the ``npairs`` column-major pair bits held in the
-    low end of ``bits``, first pair most significant, already padded."""
-    nbytes = (npairs + 5) // 6
-    return bytes(((bits >> (6 * (nbytes - 1 - k))) & 63) + 63 for k in range(nbytes))
-
-
-def emit_graph6(g: Graph) -> bytes:
-    n = g.n
-    npairs = n * (n - 1) // 2
-    bits = 0
-    for i, j in _column_major_pairs(n):
-        bits = (bits << 1) | (g.adj[i] >> j & 1)
-    pad = (6 - npairs % 6) % 6
-    return _graph6_header(n) + _graph6_body(npairs, bits << pad)
+    adj = [0] * n
+    for u, v, bit_u, bit_v, g6 in _pair_bits(n):
+        if bits & g6:
+            adj[u] |= bit_v
+            adj[v] |= bit_u
+    return Graph(n, tuple(adj))
 
 
 def ingest_corpus(path: str, skip_bad: bool = False) -> Iterator[tuple[int, Graph | None, str | None]]:

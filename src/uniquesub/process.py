@@ -84,7 +84,8 @@ def check_scan_order(n: int) -> None:
     host of more than ``SCAN_ALL_MAX_N`` vertices."""
     if n > SCAN_ALL_MAX_N:
         raise DomainError(f"--scan-all supports hosts of 1..{SCAN_ALL_MAX_N} vertices, "
-                          f"got {n}: step 0 alone has n! embeddings to count")
+                          f"got {n}: the middle steps count every embedding of patterns "
+                          "that span nearly every vertex")
 
 
 def embedding_trajectory(trace: ProcessTrace, h: Graph,

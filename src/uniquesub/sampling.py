@@ -10,10 +10,9 @@ sample therefore never load numpy.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .graphs import Graph, pair_list
+from .graphs import Graph, from_code, pair_list
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,23 +34,9 @@ def gnp_half(n: int, rng: np.random.Generator) -> Graph:
 
     Bit i of the drawn bytes, lowest bit of the first byte first, decides
     row-major pair i; the bits past the last pair are drawn and dropped."""
-    pair_bits = _pair_bits(n)
-    npairs = len(pair_bits)
-    code = int.from_bytes(rng.bytes((npairs + 7) // 8), "little") & ((1 << npairs) - 1)
-    adj = [0] * n
-    while code:
-        low = code & -code
-        code ^= low
-        u, v, bit_u, bit_v = pair_bits[low.bit_length() - 1]
-        adj[u] |= bit_v
-        adj[v] |= bit_u
-    return Graph(n, tuple(adj))
-
-
-@lru_cache(maxsize=None)
-def _pair_bits(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(u, v, 1 << u, 1 << v) of each row-major pair of order n."""
-    return tuple((u, v, 1 << u, 1 << v) for u, v in pair_list(n))
+    npairs = n * (n - 1) // 2
+    code = int.from_bytes(rng.bytes((npairs + 7) // 8), "little")
+    return from_code(n, code & ((1 << npairs) - 1))
 
 
 def random_pair_order(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:

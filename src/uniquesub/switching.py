@@ -77,25 +77,20 @@ def apply_switch(ctx: SwitchContext, u: int, v: int) -> VertexMap:
     return swapped
 
 
-def find_switch(ctx: SwitchContext,
-                candidate_pairs: Iterable[Pair] | None = None) -> Pair | None:
-    """First switch pair in lexicographic scan order, or None.  Every given
-    candidate is checked before the scan, so a bad one past the first switch
-    is still refused."""
+def find_switch(ctx: SwitchContext, vertices: Iterable[int] | None = None) -> Pair | None:
+    """First switch pair in lexicographic scan order, or None; given
+    ``vertices``, only pairs within that set are scanned.  Every given vertex
+    is checked before the scan, so a bad one past the first switch, or one
+    that forms no pair, is still refused."""
     n = ctx.g.n
-    if candidate_pairs is None:
-        candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    else:
-        candidates = sorted({_norm(u, v) for u, v in candidate_pairs})
-        for u, v in candidates:
-            for w in (u, v):
-                if not 0 <= w < n:
-                    raise DomainError(f"switch pair vertex {w} outside 0..{n - 1}")
-            if u == v:
-                raise DomainError(f"switch pair ({u}, {v}) repeats vertex {u}")
-    for u, v in candidates:
-        if is_pi_switch(ctx, u, v):
-            return (u, v)
+    members = sorted(set(range(n) if vertices is None else vertices))
+    for w in members:
+        if not 0 <= w < n:
+            raise DomainError(f"switch pair vertex {w} outside 0..{n - 1}")
+    for i, u in enumerate(members):
+        for v in members[i + 1:]:
+            if is_pi_switch(ctx, u, v):
+                return (u, v)
     return None
 
 

@@ -14,7 +14,9 @@ equitable refinement, and
 ``plain_count_embeddings`` and ``plain_unique_count`` are the embedding
 search without degree filtering and the f pattern loop without the pattern
 table, skips or isolated-vertex stripping, over the production census.
-``gnp_half_from_edges`` is the sampler through a pair list, and
+``gnp_half_from_edges`` is the sampler and ``decode_canon_bytes_from_edges``
+the canonical decoder, each through a pair list rather than the pair-code
+table in ``uniquesub.graphs``, and
 ``beta_ppf_interval`` is the Clopper-Pearson interval through
 ``scipy.stats.beta.ppf``, the reference for the production quantile call.
 ``to_networkx`` and ``vf2_count_embeddings`` hand graphs to networkx, whose
@@ -27,6 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, islice, permutations
 from math import factorial
+from typing import Iterator
 
 import networkx as nx
 import numpy as np
@@ -51,6 +54,11 @@ def mask_from_graph(g: Graph) -> int:
 def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = pair_list(n)
     return from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def all_labelled(n: int) -> Iterator[Graph]:
+    """Every labelled graph on n vertices, in mask order."""
+    return (graph_from_mask(n, mask) for mask in range(1 << n * (n - 1) // 2))
 
 
 def random_graph(n: int, p: float, rng) -> Graph:
@@ -209,6 +217,17 @@ def gnp_half_from_edges(n: int, rng) -> Graph:
     pairs = pair_list(n)
     raw = rng.bytes((len(pairs) + 7) // 8)
     return from_edges(n, [pair for idx, pair in enumerate(pairs) if raw[idx >> 3] >> (idx & 7) & 1])
+
+
+def decode_canon_bytes_from_edges(data: bytes) -> Graph:
+    """``canon.decode_canon_bytes`` as a pair list through ``from_edges``: the
+    packed code holds row-major pair idx in bit npairs - 1 - idx once its
+    zero padding is shifted off."""
+    n = data[0]
+    npairs = n * (n - 1) // 2
+    code = int.from_bytes(data[1:], "big") >> (8 * ((npairs + 7) // 8) - npairs)
+    return from_edges(n, [pair for idx, pair in enumerate(pair_list(n))
+                          if code >> (npairs - 1 - idx) & 1])
 
 
 def brute_count_embeddings(g: Graph, h: Graph) -> int:

@@ -14,7 +14,7 @@ from math import comb, factorial, sqrt
 import mpmath
 import numpy as np
 
-from oracles import (brute_f_max, brute_f_value, bucket_all_labelled,
+from oracles import (all_labelled, brute_f_max, brute_f_value, bucket_all_labelled,
                      toggle_influence_oracle)
 from uniquesub.bounds import azuma_tail, binomial_point_mass_max, density_decay_bound
 from uniquesub.canon import aut_order
@@ -23,8 +23,7 @@ from uniquesub.census import (aut_orders, enumerate_unlabelled, nontrivial_aut_f
 from uniquesub.cli import main as cli_main
 from uniquesub.embedding import (count_embeddings, f_max_exact, f_of_h,
                                  has_unique_embedding, is_unique_subgraph)
-from uniquesub.graphs import (VertexMap, complete_graph, from_edges, pair_list,
-                              parse_graph6)
+from uniquesub.graphs import VertexMap, complete_graph, pair_list, parse_graph6
 from uniquesub.process import (sample_trace, supergraph_completion_prob,
                                uniqueness_interval)
 from uniquesub.sampling import derive_rng, gnp_half
@@ -35,12 +34,6 @@ from uniquesub.switching import (SwitchContext, apply_switch, classify_degrees,
 
 def _passed(num: int, text: str) -> None:
     print(f"ACCEPTANCE {num:2d}: PASS - {text}")
-
-
-def _all_labelled(n):
-    pairs = pair_list(n)
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
 def test_c01_polya_identity():
@@ -61,7 +54,7 @@ def test_c02_unlabelled_counts_and_ratio_decrease():
 
 
 def test_c03_equivalence_law_n4():
-    graphs = list(_all_labelled(4))
+    graphs = list(all_labelled(4))
     rigid = {i: aut_order(g) == 1 for i, g in enumerate(graphs)}
     for i, g in enumerate(graphs):
         for h in graphs:
@@ -72,7 +65,7 @@ def test_c03_equivalence_law_n4():
 
 
 def test_c04_expected_embedding_formula_n4():
-    graphs = list(_all_labelled(4))
+    graphs = list(all_labelled(4))
     for h in enumerate_unlabelled(4):
         mean = Fraction(sum(count_embeddings(g, h).count for g in graphs), 64)
         assert mean == Fraction(factorial(4) * 2 ** h.edge_count(), 2 ** 6)
@@ -118,12 +111,12 @@ def test_c06_supergraph_conditional_simulation():
 def test_c07_switch_soundness_exhaustive_n4():
     pairs4 = pair_list(4)
     checked = 0
-    for hc in _all_labelled(4):
+    for hc in all_labelled(4):
         hc_edges = list(hc.edges())
         for image in permutations(range(4)):
             pi = VertexMap(4, 4, image)
             mapped = [(image[x], image[y]) for x, y in hc_edges]
-            for g in _all_labelled(4):
+            for g in all_labelled(4):
                 if not all(g.has_edge(a, b) for a, b in mapped):
                     continue
                 ctx = SwitchContext(hc, g, pi)
@@ -140,7 +133,7 @@ def test_c07_switch_soundness_exhaustive_n4():
 def test_c08_switch_probability_exact_and_bounded():
     for n in (3, 4, 5):
         npairs = n * (n - 1) // 2
-        graphs = list(_all_labelled(n))
+        graphs = list(all_labelled(n))
         images = [tuple(range(n)), tuple(range(1, n)) + (0,)]
         for hc in enumerate_unlabelled(n):
             for image in images:

@@ -10,13 +10,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (bucket_all_labelled, exhaustive_canon, graph_from_mask, mask_from_graph,
-                     random_graph, to_networkx)
+from oracles import (all_labelled, bucket_all_labelled, decode_canon_bytes_from_edges,
+                     exhaustive_canon, graph_from_mask, mask_from_graph, random_graph,
+                     to_networkx)
 from uniquesub.canon import (are_isomorphic, aut_order, canon_graph6, canonicalize,
                              decode_canon_bytes)
 from uniquesub.census import census_entries, enumerate_unlabelled
 from uniquesub.graphs import (complement, complete_graph, cycle_graph, emit_graph6, empty_graph,
                               from_edges, parse_graph6, path_graph, relabel)
+
+
+def _codes_to_64():
+    """Every class to n = 8, and seeded graphs past it: the graph6 header
+    takes four bytes from n = 63."""
+    codes = [b for n in range(1, 9) for b, _ in census_entries(n)]
+    rng = random.Random(63)
+    return codes + [canonicalize(random_graph(n, p, rng)).canon_bytes
+                    for n in (9, 16, 62, 63, 64) for p in (0.2, 0.5, 0.8)]
 
 
 class TestAutOrder:
@@ -59,7 +69,7 @@ class TestCanonicalForm:
     def test_invariance_exhaustive_small(self):
         # every labelled graph on up to 4 vertices, every relabelling
         for n in (2, 3, 4):
-            for g in _all_labelled(n):
+            for g in all_labelled(n):
                 expected = canonicalize(g).canon_bytes
                 for perm in permutations(range(n)):
                     assert canonicalize(relabel(g, perm)).canon_bytes == expected
@@ -77,14 +87,12 @@ class TestCanonicalForm:
                 assert factorial(n) % aut_order(g) == 0
 
     def test_graph6_read_off_the_code(self):
-        # every class to n = 8, and seeded graphs past it: the graph6 header
-        # takes four bytes from n = 63
-        codes = [b for n in range(1, 9) for b, _ in census_entries(n)]
-        rng = random.Random(63)
-        codes += [canonicalize(random_graph(n, p, rng)).canon_bytes
-                  for n in (9, 16, 62, 63, 64) for p in (0.2, 0.5, 0.8)]
-        for data in codes:
+        for data in _codes_to_64():
             assert canon_graph6(data) == emit_graph6(decode_canon_bytes(data)).decode()
+
+    def test_decode_matches_pair_list_reference(self):
+        for data in _codes_to_64():
+            assert decode_canon_bytes(data) == decode_canon_bytes_from_edges(data)
 
     def test_classes_match_brute_buckets(self):
         # production canonical keys induce exactly the brute-force partition
@@ -291,13 +299,6 @@ def test_orbit_stabilizer_identity():
         assert total == 2 ** (n * (n - 1) // 2)
 
 
-def _all_labelled(n):
-    from uniquesub.graphs import pair_list
-    pairs = pair_list(n)
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-
-
 def test_n3_orbit_stabilizer_worked_example():
     orders = sorted(aut_order(g) for g in enumerate_unlabelled(3))
     assert orders == [2, 2, 6, 6]
@@ -306,7 +307,7 @@ def test_n3_orbit_stabilizer_worked_example():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_canon_bytes_equal_iff_isomorphic_tiny(n):
-    graphs = list(_all_labelled(n))
+    graphs = list(all_labelled(n))
     for a in graphs:
         for b in graphs:
             brute = mask_from_graph(a) in {mask_from_graph(relabel(b, p))

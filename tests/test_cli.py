@@ -143,8 +143,8 @@ class TestStochasticCommands:
         assert code == 2 and out == "" and pools == []
         assert json.loads(err)["error"] == {
             "type": "DomainError",
-            "message": "--scan-all supports hosts of 1..9 vertices, got 10: "
-                       "step 0 alone has n! embeddings to count"}
+            "message": "--scan-all supports hosts of 1..9 vertices, got 10: the middle steps "
+                       "count every embedding of patterns that span nearly every vertex"}
 
     def test_record_replay_bit_identical(self, capsys, tmp_path):
         record = tmp_path / "runs.jsonl"
@@ -292,9 +292,11 @@ class TestSwitchCommands:
         payload = json.loads(out)
         assert code == 0 and payload["switch"] is None and "switched_pi" not in payload
 
-    @pytest.mark.parametrize("pairs, vertex", [("0,1,5", 5), ("0,1,-1", -1), ("1,5", 5)])
+    @pytest.mark.parametrize("pairs, vertex", [("0,1,5", 5), ("0,1,-1", -1), ("1,5", 5),
+                                               ("5", 5), ("5,5", 5)])
     def test_out_of_range_pair_member_exits_two(self, capsys, pairs, vertex):
-        # (0, 1) is a switch on A_, found before the scan reached the bad pair
+        # (0, 1) is a switch on A_, found before the scan reached the bad pair;
+        # a lone or repeated member forms no pair and is checked all the same
         code, out, err = run_cli(capsys, "switch", "--hc", "A_", "--g", "A_",
                                  "--pi", "0,1", "--pairs", pairs)
         assert code == 2 and out == ""
@@ -383,6 +385,18 @@ class TestBoundsCommand:
         code, out, _ = run_cli(capsys, "bounds", "density-decay", "--e-h", "3", "--n-pairs", "3",
                                "--steps", str(10 ** 400))
         assert code == 0 and json.loads(out)["loose"] == {"num": 1, "den": 1}
+
+    def test_log_base_union_budget_builds_no_exact_factorial(self, capsys, monkeypatch):
+        # the mpf value has no digit limit to guard, so n = 10^11 must not cost n!
+        def unbuilt(n):
+            raise AssertionError("exact factorial built")
+
+        monkeypatch.setattr(cli.bounds_mod, "factorial", unbuilt)
+        code, out, _ = run_cli(capsys, "bounds", "union-budget", "--n", str(10 ** 11),
+                               "--log-base", "2")
+        assert code == 0
+        assert json.loads(out) == {"name": "union-budget", "bound": 0.0, "exact": None,
+                                   "inputs": {"n": 10 ** 11, "log_base": 2.0}}
 
     def test_no_digit_limit_refuses_nothing(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)

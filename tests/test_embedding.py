@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (beta_ppf_interval, brute_count_embeddings, brute_f_value,
+from oracles import (all_labelled, beta_ppf_interval, brute_count_embeddings, brute_f_value,
                      graph_from_mask, plain_count_embeddings, plain_unique_count,
                      random_graph, vf2_count_embeddings)
 from uniquesub import census, embedding
@@ -25,12 +25,6 @@ from uniquesub.graphs import (Graph, VertexMap, complement, complete_graph, emit
                               empty_graph, from_edges, pair_list, parse_graph6, path_graph)
 from uniquesub.process import sample_trace, uniqueness_interval
 from uniquesub.sampling import derive_rng, gnp_half
-
-
-def _all_labelled(n):
-    pairs = pair_list(n)
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
 class TestCountEmbeddings:
@@ -172,7 +166,7 @@ class TestUniquePredicates:
     def test_unique_embedding_examples(self):
         k3 = complete_graph(3)
         assert not has_unique_embedding(k3, k3)
-        for g in _all_labelled(3):
+        for g in all_labelled(3):
             assert not has_unique_embedding(g, k3)
 
     def test_rigid_graph_into_itself(self):
@@ -189,7 +183,7 @@ class TestUniquePredicates:
         # every labelled 5-vertex pattern; K5 and K2,3 have twins, the
         # others none, and P5 and C5 fail the degree rule for most patterns
         h = parse_graph6(host_g6)
-        for g in _all_labelled(5):
+        for g in all_labelled(5):
             assert has_unique_embedding(g, h) == (plain_count_embeddings(g, h, 2).count == 1)
 
     @pytest.mark.parametrize("host_g6", ["Gyh|^k", "GZehmW"])  # rigid, 20 and 16 edges
@@ -204,9 +198,9 @@ class TestUniquePredicates:
         assert outcomes == {True, False}
 
     def test_equivalence_law_exhaustive_n3(self):
-        for g in _all_labelled(3):
+        for g in all_labelled(3):
             rigid = aut_order(g) == 1
-            for h in _all_labelled(3):
+            for h in all_labelled(3):
                 assert has_unique_embedding(g, h) == (is_unique_subgraph(g, h) and rigid)
 
 
@@ -354,7 +348,7 @@ class TestEstimate:
     def test_four_vertex_exact_probability_in_interval(self):
         # exhaustive truth over all 64 labelled patterns
         h = from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
-        exact = sum(has_unique_embedding(g, h) for g in _all_labelled(4)) / 64
+        exact = sum(has_unique_embedding(g, h) for g in all_labelled(4)) / 64
         rep = estimate_unique_prob(h, trials=400, seed=23)
         assert rep.ci_low <= exact <= rep.ci_high
 

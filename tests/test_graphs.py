@@ -1,23 +1,24 @@
 """graph-core: construction, complement, induced subgraphs, graph6 codec."""
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import all_labelled, graph_from_mask
 from uniquesub.errors import DomainError, Graph6Error
 from uniquesub.graphs import (Graph, VertexMap, complement, complete_graph, cycle_graph,
-                              empty_graph, emit_graph6, from_edges, induced_subgraph,
-                              parse_graph6, path_graph, pair_list, relabel)
+                              empty_graph, emit_graph6, from_code, from_edges, graph6_of_code,
+                              induced_subgraph, parse_graph6, path_graph, pair_list, relabel)
 
 
 def small_graphs(max_n: int = 8):
     @st.composite
     def build(draw):
         n = draw(st.integers(1, max_n))
-        pairs = pair_list(n)
-        mask = draw(st.integers(0, (1 << len(pairs)) - 1))
-        return from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        return graph_from_mask(n, draw(st.integers(0, (1 << n * (n - 1) // 2) - 1)))
     return build()
 
 
@@ -132,10 +133,29 @@ class TestGraph6:
         assert parse_graph6(emit_graph6(g)) == g
 
     def test_roundtrip_exhaustive_n4(self):
-        pairs = pair_list(4)
-        for mask in range(1 << 6):
-            g = from_edges(4, [pairs[i] for i in range(6) if mask >> i & 1])
+        for g in all_labelled(4):
             assert parse_graph6(emit_graph6(g)) == g
+
+
+class TestFromCode:
+    def test_every_mask_to_five(self):
+        for n in range(1, 6):
+            for mask in range(1 << n * (n - 1) // 2):
+                assert from_code(n, mask) == graph_from_mask(n, mask)
+
+    @pytest.mark.parametrize("n", [8, 9, 62, 63, 64])
+    def test_seeded_masks(self, n):
+        rng = random.Random(n)
+        for _ in range(20):
+            mask = rng.getrandbits(n * (n - 1) // 2)
+            assert from_code(n, mask) == graph_from_mask(n, mask)
+
+    @pytest.mark.parametrize("n, code", [(4, -1), (4, 1 << 6), (0, 0), (65, 0), (2000, 0)])
+    def test_rejects_an_order_or_code_out_of_range(self, n, code):
+        with pytest.raises(DomainError):
+            from_code(n, code)
+        with pytest.raises(DomainError):
+            graph6_of_code(n, code)
 
 
 def test_relabel_preserves_structure():
@@ -143,6 +163,12 @@ def test_relabel_preserves_structure():
     h = relabel(g, (3, 2, 1, 0))
     assert h.edge_count() == g.edge_count()
     assert sorted(h.degree(v) for v in range(4)) == sorted(g.degree(v) for v in range(4))
+
+
+@pytest.mark.parametrize("perm", [(0, 1, 0, 1), (0, 1, 2, 3, 9), (0, 1, 2), (1, 2, 3, 4)])
+def test_relabel_refuses_a_non_permutation(perm):
+    with pytest.raises(DomainError, match="not a permutation of 0..3"):
+        relabel(path_graph(4), perm)
 
 
 @given(small_graphs(), st.data())

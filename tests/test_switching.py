@@ -7,7 +7,7 @@ from math import sqrt
 
 import pytest
 
-from oracles import switch_required_pairs_restated, toggle_influence_oracle
+from oracles import all_labelled, switch_required_pairs_restated, toggle_influence_oracle
 from uniquesub.bounds import azuma_tail
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import clopper_pearson
@@ -23,12 +23,6 @@ from uniquesub.switching import (SwitchContext, apply_switch, classify_degrees,
 
 def _identity(n):
     return VertexMap.identity(n)
-
-
-def _all_labelled(n):
-    pairs = pair_list(n)
-    for mask in range(1 << len(pairs)):
-        yield from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
 
 
 def _random_sparse(n, edges, rng):
@@ -59,7 +53,7 @@ class TestIsPiSwitch:
     def test_exhaustive_agreement_with_restatement_n4(self):
         # every class of Hc, every labelled G, every bijection, every pair
         for hc in enumerate_unlabelled(4):
-            for g in _all_labelled(4):
+            for g in all_labelled(4):
                 for image in permutations(range(4)):
                     pi = VertexMap(4, 4, image)
                     ctx = SwitchContext(hc, g, pi)
@@ -104,7 +98,7 @@ class TestApplySwitch:
 
     def test_soundness_over_classes_n4(self):
         for hc in enumerate_unlabelled(4):
-            for g in _all_labelled(4):
+            for g in all_labelled(4):
                 for image in permutations(range(4)):
                     ctx = SwitchContext(hc, g, VertexMap(4, 4, image))
                     if not is_embedding(ctx):
@@ -133,15 +127,16 @@ class TestFindSwitch:
         hc = from_edges(5, [(0, 1)])
         ctx = SwitchContext(hc, complete_graph(5), _identity(5))
         members = [2, 3, 4]
-        restricted = find_switch(ctx, [(u, v) for u in members for v in members if u < v])
+        restricted = find_switch(ctx, members)
         full = [p for p in [(u, v) for u in range(5) for v in range(u + 1, 5)]
                 if is_pi_switch(ctx, *p) and p[0] in members and p[1] in members]
         assert restricted == full[0]
 
-    @pytest.mark.parametrize("pairs, vertex", [([(0, 1), (0, 5)], 5), ([(0, 1), (-1, 2)], -1),
-                                               ([(0, 1), (3, 3)], 3)])
+    @pytest.mark.parametrize("pairs, vertex", [([0, 1, 5], 5), ([0, 1, -1], -1),
+                                               ([0, 1, 9, 9], 9)])
     def test_every_candidate_is_checked_before_the_scan(self, pairs, vertex):
-        # (0, 1) is a switch, so a scan would stop before reaching the bad pair
+        # (0, 1) is a switch, so a scan would stop before reaching the bad
+        # vertex; a repeated vertex forms no pair of its own and is still checked
         ctx = SwitchContext(path_graph(4), complete_graph(4), _identity(4))
         with pytest.raises(DomainError, match=rf"vertex {vertex}\b"):
             find_switch(ctx, pairs)
@@ -167,7 +162,7 @@ class TestSwitchProbability:
                     for u in range(n):
                         for v in range(u + 1, n):
                             hits = sum(
-                                1 for g in _all_labelled(n)
+                                1 for g in all_labelled(n)
                                 if is_pi_switch(SwitchContext(hc, g, pi), u, v))
                             assert Fraction(hits, 1 << npairs) == \
                                 switch_probability(hc, pi, u, v)
