@@ -135,7 +135,7 @@ def _f_entry(fv) -> dict[str, Any]:
 
 def _cmd_f_exact(args: argparse.Namespace) -> dict[str, Any]:
     universe = _universe(args)
-    table = f_table(args.n, universe, args.threads)
+    table = f_table(args.n, universe)
     best = _f_entry(f_max(table))
     return {"n": args.n, "universe": universe, "table": [_f_entry(fv) for fv in table],
             "max": best, "argmax_g6": best["h_g6"]}

@@ -9,27 +9,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
 from math import factorial, perm
 from operator import ge
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
-from .canon import aut_order, decode_canon_bytes
-from .census import census_entries, enumerate_unlabelled
+from .canon import aut_order, canonicalize, decode_canon_bytes
+from .census import census_entries
 from .errors import DomainError
 from .graphs import Graph, VertexMap, emit_graph6
-from .parallel import parallel_map
 from .sampling import derive_rng, gnp_half
 
 ALL_SIZES = "all-sizes"
 SPANNING_ONLY = "spanning"
 
-F_MAX_EXACT_MAX_N = 7
-# The lowest order whose f table is split across the worker map.  On a
-# 2-vCPU VM, f-exact --n 6 took 0.50 s in one process against 0.56 s on two
-# workers (medians of six runs each), and f-exact --n 7 17-19 s against
-# 8.7-12.1 s.
-F_POOL_MIN_N = 7
+F_MAX_EXACT_MAX_N = 8
 CI_ALPHA = 0.01  # Monte-Carlo estimates carry 99% Clopper-Pearson intervals
 
 
@@ -219,30 +212,6 @@ class FValue:
     f: Fraction
 
 
-class _Pattern(NamedTuple):
-    """One order-n pattern class G, as ``f_of_h`` tests it."""
-
-    degrees: tuple[int, ...]  # G's degrees, descending, as ``_plan`` orders them
-    prev: tuple[tuple[int, ...], ...]  # the plan's earlier neighbours of each live position
-    aut: int  # |Aut(G)|
-    weight: int  # all-sizes weight: 2 when G has an isolated vertex and an edge
-
-
-@lru_cache(maxsize=1)
-def _pattern_table(n: int) -> tuple[_Pattern, ...]:
-    """The order-n census as patterns, in census order.  Equal degree and
-    neighbour tuples are one object across the table."""
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    table = []
-    for canon_bytes, aut in census_entries(n):
-        degrees, prev = _plan(decode_canon_bytes(canon_bytes))
-        live = list(map(tuple, prev))
-        table.append(_Pattern(shared.setdefault(degrees, degrees),
-                              tuple(map(shared.setdefault, live, live)),
-                              aut, 1 + (0 < len(live) < n)))
-    return tuple(table)
-
-
 def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     """Unique-subgraph classes of ``h`` over the universe, scaled by n!/2^N.
 
@@ -258,31 +227,79 @@ def f_of_h(h: Graph, universe: str = ALL_SIZES) -> FValue:
     into ``h``, as ``_count`` decides.
     """
     n = h.n
-    table = _pattern_table(n)  # the census guard trips before the universe check
+    entries = census_entries(n)  # the census guard trips before the universe check
     if universe not in (ALL_SIZES, SPANNING_ONLY):
         raise DomainError(f"unknown universe {universe!r}")
     host = _host(h)
     unique = 0
-    for degrees, prev, aut, weight in table:
+    for canon_bytes, aut in entries:
+        degrees, prev = _plan(decode_canon_bytes(canon_bytes))
         if _count(degrees, prev, host, aut + 1) == aut:
-            unique += weight if universe == ALL_SIZES else 1
-    denominator = Fraction(2 ** (n * (n - 1) // 2), factorial(n))
+            unique += 2 if universe == ALL_SIZES and 0 < len(prev) < n else 1
+    return _f_value(h, universe, unique)
+
+
+def _f_value(h: Graph, universe: str, unique: int) -> FValue:
+    denominator = Fraction(2 ** (h.n * (h.n - 1) // 2), factorial(h.n))
     return FValue(h=h, universe=universe, unique_count=unique,
                   denominator=denominator, f=Fraction(unique) / denominator)
 
 
-def f_table(n: int, universe: str = ALL_SIZES, threads: int | None = 1) -> list[FValue]:
-    """f of one host per isomorphism class of order ``n``, in census order.
+def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
+    """f of one host per isomorphism class of order ``n``, in census order,
+    every host decided in one pass over the census by edge deletion.
 
-    From ``F_POOL_MIN_N`` up the hosts are split across ``threads`` workers
-    (None: all cores), one work unit per host; the table does not depend
-    on it."""
+    Write s(G, H) for the number of spanning copies of G in H, the edge sets
+    S of H with (V, S) isomorphic to G.  A copy with e(G) < e(H) misses
+    e(H) - e(G) edges of H and survives in exactly the children H - e that
+    delete one of them, so sum_e s(G, H - e) = (e(H) - e(G)) s(G, H), the
+    edge form of Kelly's lemma (Kelly 1957; Bondy and Hemminger, J. Graph
+    Theory 1977).  A child never holds more copies than H, so G != H is
+    unique in H iff e(G) < e(H), no child holds G twice or more, and exactly
+    e(H) - e(G) children hold G once.  G appears in H iff G = H or G appears
+    in a child.  Hosts are taken by edge count, each with bitsets over census
+    order of the classes it holds once (``once``) and at all (``held``); the
+    children's ``once`` sets are summed per class in binary bit planes.  An
+    order-n class counts twice in all sizes when it has an isolated vertex
+    and an edge (``twice``, empty for the spanning universe), as in
+    ``f_of_h``."""
     if not 1 <= n <= F_MAX_EXACT_MAX_N:
         raise DomainError(f"exact f maximization supports 1..{F_MAX_EXACT_MAX_N}, got {n}")
-    hosts = list(enumerate_unlabelled(n))
-    _pattern_table(n)  # built before the map, so that forked workers inherit it
-    return list(parallel_map(partial(f_of_h, universe=universe), hosts,
-                             threads if n >= F_POOL_MIN_N else 1))
+    if universe not in (ALL_SIZES, SPANNING_ONLY):
+        raise DomainError(f"unknown universe {universe!r}")
+    entries = census_entries(n)
+    index = {canon_bytes: i for i, (canon_bytes, _) in enumerate(entries)}
+    hosts = [decode_canon_bytes(canon_bytes) for canon_bytes, _ in entries]
+    edges = [h.edge_count() for h in hosts]
+    with_edges = [0] * (n * (n - 1) // 2 + 1)  # entry k: the classes with k edges
+    twice = 0
+    for i, h in enumerate(hosts):
+        with_edges[edges[i]] |= 1 << i
+        if universe == ALL_SIZES and edges[i] and 0 in h.adj:
+            twice |= 1 << i
+    once, held = [0] * len(hosts), [0] * len(hosts)
+    for i in sorted(range(len(hosts)), key=edges.__getitem__):
+        h, e = hosts[i], edges[i]
+        planes = [0] * e.bit_length()  # bit j of each class's count of children holding it once
+        many, held[i] = 0, 1 << i
+        for u, v in h.edges():
+            adj = list(h.adj)
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+            c = index[canonicalize(Graph(n, tuple(adj))).canon_bytes]
+            held[i] |= held[c]
+            many |= held[c] & ~once[c]
+            carry = once[c]
+            for j, plane in enumerate(planes):
+                planes[j], carry = plane ^ carry, plane & carry
+        once[i] = 1 << i
+        for k in range(e):
+            match = with_edges[k] & ~many
+            for j, plane in enumerate(planes):
+                match &= plane if (e - k) >> j & 1 else ~plane
+            once[i] |= match
+    return [_f_value(h, universe, once[i].bit_count() + (once[i] & twice).bit_count())
+            for i, h in enumerate(hosts)]
 
 
 def f_max(table: Iterable[FValue]) -> FValue:

@@ -187,17 +187,21 @@ class TestOnePathPerCommand:
         assert calls == ["parse_graph6"]
         assert wins == 109  # as when every trial parsed the host
 
-    def test_f_exact_guard_runs_before_any_f_value(self, capsys, monkeypatch):
+    def test_f_exact_guard_runs_before_any_f_value(self, capsys, monkeypatch, fresh_census):
+        # the refusal comes before any census level is built
+        searches = count_calls(monkeypatch, "canonicalize", census, embedding)
         calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
-        code, _, err = run_cli(capsys, "f-exact", "--n", "8")
+        code, _, err = run_cli(capsys, "f-exact", "--n", "9")
         assert code == 2 and json.loads(err)["error"]["type"] == "DomainError"
-        assert calls == []
+        assert (searches, calls) == ([], [])
 
     def test_f_exact_computes_each_f_value_once(self, capsys, monkeypatch):
+        # one canonical search per host edge, of H - e, and none of a host itself
+        children = count_calls(monkeypatch, "canonicalize", embedding)
         calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
         code, out, _ = run_cli(capsys, "f-exact", "--n", "4")
         assert code == 0 and len(json.loads(out)["table"]) == 11
-        assert len(calls) == 11
+        assert (len(children), calls) == (33, [])
 
     def test_process_locates_each_interval_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "uniqueness_interval", cli, process)

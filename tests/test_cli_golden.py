@@ -33,7 +33,7 @@ CASES: dict[str, list[str]] = {
     "polya-0": ["polya", "--n", "0"],
     "f-exact-3": ["f-exact", "--n", "3"],
     "f-exact-3-spanning": ["f-exact", "--n", "3", "--spanning"],
-    "f-exact-8": ["f-exact", "--n", "8"],
+    "f-exact-9": ["f-exact", "--n", "9"],
     "f-of-h": ["f-of-h", "--g6", "Bw"],
     "f-of-h-spanning": ["f-of-h", "--g6", "DK[", "--spanning"],
     "f-of-h-8": ["f-of-h", "--g6", "G?????"],

@@ -259,11 +259,14 @@ class TestFValues:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(embedding, "_plan_count", counting)
+        hosts = list(enumerate_unlabelled(6))
         per_universe = {}
         for universe in (ALL_SIZES, SPANNING_ONLY):
             calls.clear()
-            f_table(6, universe)
+            for h in hosts:
+                f_of_h(h, universe)
             per_universe[universe] = len(calls)
+        assert len(hosts) == 156
         assert per_universe == {ALL_SIZES: 8_787, SPANNING_ONLY: 8_787}
         calls.clear()
         assert f_of_h(empty_graph(6)).unique_count == 1
@@ -300,35 +303,45 @@ class TestFValues:
             for h in enumerate_unlabelled(n):
                 assert f_of_h(h).f == brute_f_value(h)
 
-    def test_f_table_seven_on_two_workers(self):
-        # the first order split across the worker map; one "g6 count" line per
-        # class, and the all-sizes maximum f(7) = 132 * 7! / 2^21
-        table = f_table(7, threads=2)
+    @pytest.mark.parametrize("universe, digest, g6, count", [
+        (ALL_SIZES, "850fb6013175234e62e6ea812f236226d21a440ca9b9c1e682d62cd857acb3ef",
+         b"FDZJw", 132),
+        (SPANNING_ONLY, "e1216e2930ad921a17c757998afad00ecd040cd5e1d5ed8c04079f9f263a7f1b",
+         b"F@U~w", 118)], ids=[ALL_SIZES, SPANNING_ONLY])
+    def test_f_table_seven(self, universe, digest, g6, count):
+        # one "g6 count" line per class, and the maximum f(7) = count * 7! / 2^21
+        table = f_table(7, universe)
         lines = "".join(f"{emit_graph6(fv.h).decode()} {fv.unique_count}\n" for fv in table)
-        assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "850fb6013175234e62e6ea812f236226d21a440ca9b9c1e682d62cd857acb3ef")
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest
         best = f_max(table)
-        assert (emit_graph6(best.h), best.unique_count) == (b"FDZJw", 132)
-        assert best.f == Fraction(132 * 5040, 2 ** 21)
+        assert (emit_graph6(best.h), best.unique_count) == (g6, count)
+        assert best.f == Fraction(count * 5040, 2 ** 21)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_f_table_matches_f_of_h(self, n):
+        # the edge-deletion pass against the per-host pattern loop, every host
+        for universe in (ALL_SIZES, SPANNING_ONLY):
+            table = f_table(n, universe)
+            assert [fv.h for fv in table] == list(enumerate_unlabelled(n))
+            assert table == [f_of_h(fv.h, universe) for fv in table]
 
     @pytest.mark.parametrize("g6, universe, count", [("FDZJw", ALL_SIZES, 132),
-                                                      ("F@U~w", SPANNING_ONLY, 118)])
-    def test_maximisers_at_seven_match_plain_pattern_loop(self, g6, universe, count):
+                                                      ("F@U~w", SPANNING_ONLY, 118),
+                                                      ("GLLm]{", ALL_SIZES, 1163),
+                                                      ("GBhu~[", SPANNING_ONLY, 1097)])
+    def test_maximisers_match_plain_pattern_loop(self, g6, universe, count):
         h = parse_graph6(g6)
         assert f_of_h(h, universe).unique_count == plain_unique_count(h, universe) == count
 
     def test_f_table_below_the_pool_floor_starts_no_pool(self, pools):
-        assert len(f_table(6, threads=2)) == 156 and pools == []
-
-    def test_f_table_is_the_same_on_the_worker_map(self, monkeypatch):
-        # with the floor lowered to 6, the table split across two forked
-        # workers is the one-process table
-        monkeypatch.setattr(embedding, "F_POOL_MIN_N", 6)
-        assert f_table(6, threads=2) == f_table(6, threads=1)
+        # every host is decided in this process, whatever the order
+        assert len(f_table(7)) == 1044 and pools == []
 
     def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            f_max_exact(8)
+        with pytest.raises(DomainError, match=r"1\.\.8, got 9"):
+            f_max_exact(9)
+        with pytest.raises(DomainError, match="unknown universe"):
+            f_table(3, "induced")
 
 
 class TestEstimate:
