@@ -249,20 +249,17 @@ def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
     """f of one host per isomorphism class of order ``n``, in census order,
     every host decided in one pass over the census by edge deletion.
 
-    Write s(G, H) for the number of spanning copies of G in H, the edge sets
-    S of H with (V, S) isomorphic to G.  A copy with e(G) < e(H) misses
-    e(H) - e(G) edges of H and survives in exactly the children H - e that
-    delete one of them, so sum_e s(G, H - e) = (e(H) - e(G)) s(G, H), the
-    edge form of Kelly's lemma (Kelly 1957; Bondy and Hemminger, J. Graph
-    Theory 1977).  A child never holds more copies than H, so G != H is
-    unique in H iff e(G) < e(H), no child holds G twice or more, and exactly
-    e(H) - e(G) children hold G once.  G appears in H iff G = H or G appears
-    in a child.  Hosts are taken by edge count, each with bitsets over census
-    order of the classes it holds once (``once``) and at all (``held``); the
-    children's ``once`` sets are summed per class in binary bit planes.  An
-    order-n class counts twice in all sizes when it has an isolated vertex
-    and an edge (``twice``, empty for the spanning universe), as in
-    ``f_of_h``."""
+    The child H - e holds a spanning class G iff some copy of G avoids e, so
+    exactly e(H) - |edges shared by all copies| children hold G.  Two
+    distinct copies of equal size share fewer than e(G) edges.  Therefore G,
+    held by some child, is unique in H iff e(G) + #children holding G = e(H);
+    and H is unique in itself.  Hosts are taken one edge layer at a time, each
+    with one bitset over census order of the classes it holds (``held``, H and
+    its children's), and a layer reads only the layer below.  Each class's
+    counter, in binary bit planes, starts at its edge count (``edge_planes``)
+    and gains one per child holding it.  An order-n class counts twice in all
+    sizes when it has an isolated vertex and an edge (``twice``, empty for the
+    spanning universe), as in ``f_of_h``."""
     if not 1 <= n <= F_MAX_EXACT_MAX_N:
         raise DomainError(f"exact f maximization supports 1..{F_MAX_EXACT_MAX_N}, got {n}")
     if universe not in (ALL_SIZES, SPANNING_ONLY):
@@ -270,36 +267,39 @@ def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
     entries = census_entries(n)
     index = {canon_bytes: i for i, (canon_bytes, _) in enumerate(entries)}
     hosts = [decode_canon_bytes(canon_bytes) for canon_bytes, _ in entries]
-    edges = [h.edge_count() for h in hosts]
-    with_edges = [0] * (n * (n - 1) // 2 + 1)  # entry k: the classes with k edges
+    npairs = n * (n - 1) // 2
+    layers: list[list[int]] = [[] for _ in range(npairs + 1)]  # entry k: the hosts with k edges
+    edge_planes = [0] * (2 * npairs).bit_length()  # a held class's counter stays below 2 e(H)
     twice = 0
     for i, h in enumerate(hosts):
-        with_edges[edges[i]] |= 1 << i
-        if universe == ALL_SIZES and edges[i] and 0 in h.adj:
+        e = h.edge_count()
+        layers[e].append(i)
+        for j in range(len(edge_planes)):
+            edge_planes[j] |= (e >> j & 1) << i
+        if universe == ALL_SIZES and e and 0 in h.adj:
             twice |= 1 << i
-    once, held = [0] * len(hosts), [0] * len(hosts)
-    for i in sorted(range(len(hosts)), key=edges.__getitem__):
-        h, e = hosts[i], edges[i]
-        planes = [0] * e.bit_length()  # bit j of each class's count of children holding it once
-        many, held[i] = 0, 1 << i
-        for u, v in h.edges():
-            adj = list(h.adj)
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-            c = index[canonicalize(Graph(n, tuple(adj))).canon_bytes]
-            held[i] |= held[c]
-            many |= held[c] & ~once[c]
-            carry = once[c]
+    unique = [0] * len(hosts)
+    below: dict[int, int] = {}
+    for e, layer in enumerate(layers):
+        held: dict[int, int] = {}
+        for i in layer:
+            h, planes, children = hosts[i], list(edge_planes), 0
+            for u, v in h.edges():
+                adj = list(h.adj)
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                carry = below[index[canonicalize(Graph(n, tuple(adj))).canon_bytes]]
+                children |= carry
+                for j, plane in enumerate(planes):
+                    planes[j], carry = plane ^ carry, plane & carry
+            once = children
             for j, plane in enumerate(planes):
-                planes[j], carry = plane ^ carry, plane & carry
-        once[i] = 1 << i
-        for k in range(e):
-            match = with_edges[k] & ~many
-            for j, plane in enumerate(planes):
-                match &= plane if (e - k) >> j & 1 else ~plane
-            once[i] |= match
-    return [_f_value(h, universe, once[i].bit_count() + (once[i] & twice).bit_count())
-            for i, h in enumerate(hosts)]
+                once &= plane if e >> j & 1 else ~plane
+            once |= 1 << i
+            held[i] = children | 1 << i
+            unique[i] = once.bit_count() + (once & twice).bit_count()
+        below = held
+    return [_f_value(h, universe, unique[i]) for i, h in enumerate(hosts)]
 
 
 def f_max(table: Iterable[FValue]) -> FValue:

@@ -39,6 +39,15 @@ def _norm(u: int, v: int) -> Pair:
     return (u, v) if u < v else (v, u)
 
 
+def _in_range(vertices: Iterable[int], n: int) -> list[int]:
+    """The distinct ``vertices`` in ascending order, each checked to lie in 0..n-1."""
+    members = sorted(set(vertices))
+    for w in members:
+        if not 0 <= w < n:
+            raise DomainError(f"vertex {w} outside 0..{n - 1}")
+    return members
+
+
 def required_pairs(hc: Graph, pi: VertexMap, u: int, v: int) -> frozenset[Pair]:
     """G-edges demanded for {u, v} to be a switch (each counted once)."""
     if u == v:
@@ -82,11 +91,7 @@ def find_switch(ctx: SwitchContext, vertices: Iterable[int] | None = None) -> Pa
     ``vertices``, only pairs within that set are scanned.  Every given vertex
     is checked before the scan, so a bad one past the first switch, or one
     that forms no pair, is still refused."""
-    n = ctx.g.n
-    members = sorted(set(range(n) if vertices is None else vertices))
-    for w in members:
-        if not 0 <= w < n:
-            raise DomainError(f"switch pair vertex {w} outside 0..{n - 1}")
+    members = _in_range(range(ctx.g.n) if vertices is None else vertices, ctx.g.n)
     for i, u in enumerate(members):
         for v in members[i + 1:]:
             if is_pi_switch(ctx, u, v):
@@ -156,7 +161,7 @@ def refine_t(hc: Graph, b_prime: Iterable[int],
     if not all(isfinite(thr) for thr in schedule):
         raise DomainError("schedule thresholds must be finite")
     t_mask = 0
-    for v in b_prime:
+    for v in _in_range(b_prime, hc.n):
         t_mask |= 1 << v
     steps: list[tuple[int, float]] = []
     for i, thr in enumerate(schedule):
@@ -201,7 +206,7 @@ def edge_influence_budget(hc: Graph, pi: VertexMap,
     influences none (T is required to be independent in Hc).  Only nonzero
     entries are returned.
     """
-    t_set = sorted(set(t))
+    t_set = _in_range(t, hc.n)
     t_mask = 0
     for v in t_set:
         t_mask |= 1 << v

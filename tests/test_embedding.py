@@ -333,7 +333,7 @@ class TestFValues:
         h = parse_graph6(g6)
         assert f_of_h(h, universe).unique_count == plain_unique_count(h, universe) == count
 
-    def test_f_table_below_the_pool_floor_starts_no_pool(self, pools):
+    def test_f_table_starts_no_pool(self, pools):
         # every host is decided in this process, whatever the order
         assert len(f_table(7)) == 1044 and pools == []
 
@@ -342,6 +342,26 @@ class TestFValues:
             f_max_exact(9)
         with pytest.raises(DomainError, match="unknown universe"):
             f_table(3, "induced")
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_children_holding_a_class_count_its_copies(n):
+    """The fact ``f_table`` rests on, by oracle counts alone: with s spanning
+    copies of G in H and e(G) < e(H), the number of edges e for which H - e
+    holds G is 0 when s = 0, exactly e(H) - e(G) when s = 1, and more when
+    s >= 2."""
+    classes = list(enumerate_unlabelled(n))
+    auts = [plain_count_embeddings(g, g).count for g in classes]
+    for h in classes:
+        edges = list(h.edges())
+        children = [from_edges(n, edges[:k] + edges[k + 1:]) for k in range(len(edges))]
+        for g, aut in zip(classes, auts):
+            if g.edge_count() >= len(edges):
+                continue
+            s = plain_count_embeddings(g, h).count // aut
+            holding = sum(plain_count_embeddings(g, c, early_exit_at=1).count for c in children)
+            gap = len(edges) - g.edge_count()
+            assert holding == 0 if s == 0 else holding == gap if s == 1 else holding > gap
 
 
 class TestEstimate:

@@ -291,6 +291,12 @@ class TestRefineT:
         with pytest.raises(DomainError):
             refine_t(empty_graph(3), [0], [0.0])
 
+    @pytest.mark.parametrize("b_prime, vertex", [([9], 9), ([-1], -1), ([0, 1, 9], 9)])
+    def test_refuses_a_vertex_outside_the_graph(self, b_prime, vertex):
+        # refused before the first step, which T = {0, 1} would otherwise take
+        with pytest.raises(DomainError, match=rf"vertex {vertex} outside 0\.\.3"):
+            refine_t(path_graph(4), b_prime, [1.0])
+
     @pytest.mark.parametrize("thr", [float("inf"), float("nan")])
     def test_rejects_non_finite_threshold(self, thr):
         with pytest.raises(DomainError, match="schedule thresholds must be finite"):
@@ -333,6 +339,12 @@ class TestEdgeInfluence:
         hc = from_edges(4, [(0, 1)])
         with pytest.raises(DomainError):
             edge_influence_budget(hc, _identity(4), (0, 1))
+
+    @pytest.mark.parametrize("t, vertex", [([9], 9), ([-1], -1), ([0, 1, 9], 9)])
+    def test_refuses_a_vertex_outside_the_graph(self, t, vertex):
+        # refused before the independence check, which T = {0, 1} would fail
+        with pytest.raises(DomainError, match=rf"vertex {vertex} outside 0\.\.3"):
+            edge_influence_budget(path_graph(4), _identity(4), t)
 
     def test_influence_bounded_by_t_degree(self):
         rng = derive_rng(4242, None)
