@@ -19,7 +19,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from . import bounds as bounds_mod
@@ -59,15 +59,6 @@ def dumps(payload: Any) -> str:
 
 def _universe(args: argparse.Namespace) -> str:
     return SPANNING_ONLY if args.spanning else ALL_SIZES
-
-
-def _sampling_map(fn: Callable[[Any], Any], work: Sequence[Any],
-                  threads: int | None) -> Iterator[Any]:
-    """``parallel_map`` for work units that sample with numpy: loaded before
-    the pool forks, it is inherited by every worker instead of imported again
-    by each.  Only ``estimate`` and ``process`` load it."""
-    import numpy  # noqa: F401
-    return parallel_map(fn, work, threads)
 
 
 def _need_seed(args: argparse.Namespace) -> int:
@@ -163,7 +154,10 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
     parse_graph6(args.g6)  # a bad host fails here, before any worker starts
     seed = _need_seed(args)
     work = [(args.g6, seed, i) for i in range(args.trials)]
-    wins = _sampling_map(_estimate_trial, work, args.threads)
+    wins = parallel_map(_estimate_trial, work, args.threads)
+    # The interval's scipy.special (about 0.3 s with the numpy it loads)
+    # is imported here, while the workers run the trials.
+    import scipy.special  # noqa: F401
     rep = estimate_report(sum(wins), args.trials, seed)
     return {
         "h_g6": args.g6,
@@ -201,7 +195,7 @@ def _cmd_process(args: argparse.Namespace) -> dict[str, Any]:
         check_scan_order(h.n)
     seed = _need_seed(args)
     work = [(args.g6, seed, i, args.L, args.scan_all) for i in range(args.traces)]
-    records = list(_sampling_map(_process_one, work, args.threads))
+    records = list(parallel_map(_process_one, work, args.threads))
     return {"h_g6": args.g6, "seed": seed, "traces": records}
 
 

@@ -31,8 +31,12 @@ class SwitchContext:
     def __post_init__(self) -> None:
         if self.hc.n != self.g.n:
             raise DomainError("host complement and pattern must have equal order")
-        if not self.pi.is_bijection or self.pi.n_from != self.hc.n:
-            raise DomainError("pi must be a bijection between the two vertex sets")
+        _check_bijection(self.hc, self.pi)
+
+
+def _check_bijection(hc: Graph, pi: VertexMap) -> None:
+    if not pi.is_bijection or pi.n_from != hc.n:
+        raise DomainError("pi must be a bijection between the two vertex sets")
 
 
 def _norm(u: int, v: int) -> Pair:
@@ -206,6 +210,7 @@ def edge_influence_budget(hc: Graph, pi: VertexMap,
     influences none (T is required to be independent in Hc).  Only nonzero
     entries are returned.
     """
+    _check_bijection(hc, pi)
     t_set = _in_range(t, hc.n)
     t_mask = 0
     for v in t_set:

@@ -16,7 +16,9 @@ search without degree filtering and the f pattern loop without the pattern
 table, skips or isolated-vertex stripping, over the production census.
 ``gnp_half_from_edges`` is the sampler and ``decode_canon_bytes_from_edges``
 the canonical decoder, each through a pair list rather than the pair-code
-table in ``uniquesub.graphs``, and
+table in ``uniquesub.graphs``, ``numpy_generator`` is numpy's own Philox
+generator, the reference for the pure-Python stream in ``uniquesub.sampling``,
+and
 ``beta_ppf_interval`` is the Clopper-Pearson interval through
 ``scipy.stats.beta.ppf``, the reference for the production quantile call.
 ``to_networkx`` and ``vf2_count_embeddings`` hand graphs to networkx, whose
@@ -217,6 +219,16 @@ def gnp_half_from_edges(n: int, rng) -> Graph:
     pairs = pair_list(n)
     raw = rng.bytes((len(pairs) + 7) // 8)
     return from_edges(n, [pair for idx, pair in enumerate(pairs) if raw[idx >> 3] >> (idx & 7) & 1])
+
+
+def numpy_generator(seed: int, index: int | None = None) -> np.random.Generator:
+    """numpy's generator for the stream ``sampling.derive_rng(seed, index)``
+    reproduces, with numpy's other draws (``integers``, ``permuted``) too."""
+    if index is None:
+        ss = np.random.SeedSequence(entropy=seed)
+    else:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    return np.random.Generator(np.random.Philox(ss))
 
 
 def decode_canon_bytes_from_edges(data: bytes) -> Graph:

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 
 from oracles import (all_labelled, brute_f_max, brute_f_value, bucket_all_labelled,
-                     toggle_influence_oracle)
+                     numpy_generator, toggle_influence_oracle)
 from uniquesub.bounds import azuma_tail, binomial_point_mass_max, density_decay_bound
 from uniquesub.canon import aut_order
 from uniquesub.census import (aut_orders, enumerate_unlabelled, nontrivial_aut_fraction,
@@ -97,7 +97,7 @@ def test_c06_supergraph_conditional_simulation():
     for which, (e_h, total, m_star, m2) in enumerate(tuples):
         p = supergraph_completion_prob(e_h, total, m_star, m2)
         assert (e_h, total, m_star, m2) != tuples[0] or p == Fraction(1, 6)
-        rng = derive_rng(60_000 + which, None)
+        rng = numpy_generator(60_000 + which, None)
         draw = m2 - m_star
         pool = total - m_star
         grid = np.tile(np.arange(pool), (trials, 1))

@@ -535,8 +535,8 @@ def test_replay_identical_across_processes():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # Each command imports only what it runs: numpy (about 0.15 s) only where it
-    # samples, for estimate's interval scipy.special, never the 1 s scipy.stats,
+    # Each command imports only what it runs: sampling no numpy, estimate's
+    # interval scipy.special (which loads numpy), never the 1 s scipy.stats,
     # mpmath (about 40 ms) only where a bound builds an mpmath value, and the
     # process pool (about 27 ms) only where a map starts one.
     # Each check runs in a fresh interpreter.
@@ -553,6 +553,7 @@ def test_cli_import_leaves_scipy_unloaded():
         (["f-exact", "--n", "3"], []),
         (["--threads", "1", "estimate", "--g6", "Bw", "--trials", "30", "--seed", "1"],
          ["numpy", "scipy", "scipy.special"]),
+        (["--threads", "1", "process", "--g6", "Bw", "--traces", "30", "--seed", "1"], []),
     ]
     for argv, loaded in cases:
         run_main = "" if argv is None else f"main({argv!r}); "
@@ -562,34 +563,49 @@ def test_cli_import_leaves_scipy_unloaded():
         assert run.stdout.splitlines()[-1] == repr(loaded), argv
 
 
-_PREFORK_SCRIPT = """
+_POOLED_ESTIMATE_SCRIPT = """
+import multiprocessing
+import os
 import sys
 
-from uniquesub.cli import _sampling_map
-from uniquesub.parallel import parallel_map
+from uniquesub import cli
+
+trial = cli._estimate_trial
 
 
-def numpy_loaded(_):
-    return "numpy" in sys.modules
+def reporting_trial(work):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()} {'numpy' in sys.modules} {'scipy' in sys.modules}\\n")
+    return trial(work)
 
 
 if __name__ == "__main__":
-    print(list(parallel_map(numpy_loaded, range(16), threads=2)))
-    print(list(_sampling_map(numpy_loaded, range(16), threads=2)))
+    cli._estimate_trial = reporting_trial
+    cli.main(["--threads", "2", "estimate", "--g6", "Gyh|^k", "--trials", "200", "--seed", "1"])
+    print(os.getpid(), "scipy.special" in sys.modules, len(multiprocessing.active_children()))
 """
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two cores")
-def test_pool_workers_inherit_numpy(tmp_path):
-    # The sampling work units' map loads numpy before the pool forks, so no
-    # worker imports it again; the library map alone loads nothing.
+def test_pooled_estimate_trials_load_neither_numpy_nor_scipy(tmp_path):
+    # The workers fork before the parent imports scipy.special for the
+    # interval, and sampling loads no numpy, so no trial carries either; the
+    # pool is shut down before the command returns.
     import subprocess
     import sys
-    script = tmp_path / "prefork.py"
-    script.write_text(_PREFORK_SCRIPT)
-    run = subprocess.run([sys.executable, str(script)], capture_output=True, check=True,
-                         text=True, timeout=120)
-    assert run.stdout.splitlines() == [repr([False] * 16), repr([True] * 16)]
+    script = tmp_path / "estimate_pool.py"
+    script.write_text(_POOLED_ESTIMATE_SCRIPT)
+    log = tmp_path / "trials.txt"
+    run = subprocess.run([sys.executable, str(script), str(log)], capture_output=True,
+                         check=True, text=True, timeout=120)
+    payload, report = run.stdout.splitlines()
+    assert json.loads(payload)["denominator"] == 200
+    parent, parent_scipy, live_children = report.split()
+    units = [line.split() for line in log.read_text().splitlines()]
+    assert len(units) == 200
+    assert parent not in {pid for pid, _, _ in units}
+    assert {(numpy, scipy) for _, numpy, scipy in units} == {("False", "False")}
+    assert parent_scipy == "True" and live_children == "0"
 
 
 _POOLED_CENSUS_SCRIPT = """

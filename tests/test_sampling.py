@@ -1,13 +1,53 @@
-"""Seeded random sources: distribution sanity and stream separation."""
+"""Seeded random sources: numpy's bits, distribution sanity and stream separation."""
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from oracles import gnp_half_from_edges
+from oracles import gnp_half_from_edges, numpy_generator
+from uniquesub.errors import DomainError
 from uniquesub.graphs import emit_graph6, pair_list
 from uniquesub.sampling import derive_rng, gnp_half, random_pair_order
+
+
+SEED_LENGTHS = {"0": [0], "1": [1], "31-bit": [31], "63-bit": [63], "over 64-bit": range(65, 201)}
+INDEX_LENGTHS = {"None": None, "0": [0], "12-bit": [12], "40-bit": [40]}
+
+
+def _of_length(cases: random.Random, bits: int) -> int:
+    """A number exactly ``bits`` bits long (0 for none)."""
+    return cases.getrandbits(bits) | 1 << bits - 1 if bits else 0
+
+
+@pytest.mark.parametrize("seed_kind", SEED_LENGTHS)
+@pytest.mark.parametrize("index_kind", INDEX_LENGTHS)
+def test_stream_draws_numpys_bits(seed_kind, index_kind):
+    # 100 cases per (seed, index) kind, 2,000 in all, each a mix of byte
+    # draws (n = 64 takes 252 bytes) and permutations (n = 64 has 2,016
+    # pairs) on one stream.  Permutation lengths are spread log-uniformly,
+    # so the short ones, which most draws are, are well covered.
+    cases = random.Random(f"{seed_kind}/{index_kind}")
+    for _ in range(100):
+        seed = _of_length(cases, cases.choice(SEED_LENGTHS[seed_kind]))
+        index_lengths = INDEX_LENGTHS[index_kind]
+        index = None if index_lengths is None else _of_length(cases, cases.choice(index_lengths))
+        ours, ref = derive_rng(seed, index), numpy_generator(seed, index)
+        for _ in range(cases.randint(1, 4)):
+            if cases.random() < 0.5:
+                length = cases.choice((0, 252, cases.randint(1, 300)))
+                assert ours.bytes(length) == ref.bytes(length), (seed, index, length)
+            else:
+                m = cases.choice((2016, int(2100 ** cases.random())))
+                assert ours.permutation(m) == ref.permutation(m).tolist(), (seed, index, m)
+
+
+@pytest.mark.parametrize("seed, index", [(-1, None), (-1, 0), (0, -1), (-(2 ** 70), 3)])
+def test_negative_seed_or_index_is_refused(seed, index):
+    with pytest.raises(DomainError, match="non-negative"):
+        derive_rng(seed, index)
 
 
 def test_gnp_half_pair_frequencies():

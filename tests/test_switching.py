@@ -7,7 +7,8 @@ from math import sqrt
 
 import pytest
 
-from oracles import all_labelled, switch_required_pairs_restated, toggle_influence_oracle
+from oracles import (all_labelled, numpy_generator, switch_required_pairs_restated,
+                     toggle_influence_oracle)
 from uniquesub.bounds import azuma_tail
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import clopper_pearson
@@ -226,7 +227,7 @@ class TestClassifyDegrees:
     def test_sparse_instances_small_a(self):
         # e(Hc) <= C n with C >= 1 forces |A| <= n/2
         n, c = 10, 1.0
-        rng = derive_rng(123, None)
+        rng = numpy_generator(123, None)
         for _ in range(1000):
             hc = _random_sparse(n, int(rng.integers(0, int(c * n) + 1)), rng)
             dc = classify_degrees(hc, c)
@@ -303,7 +304,7 @@ class TestRefineT:
             refine_t(empty_graph(3), [0], [1.0, thr])
 
     def test_distinct_steps_and_postcondition(self):
-        rng = derive_rng(999, None)
+        rng = numpy_generator(999, None)
         for trial in range(1000):
             hc = _random_sparse(8, int(rng.integers(0, 9)), rng)
             dc = classify_degrees(hc, 1.0)
@@ -345,6 +346,12 @@ class TestEdgeInfluence:
         # refused before the independence check, which T = {0, 1} would fail
         with pytest.raises(DomainError, match=rf"vertex {vertex} outside 0\.\.3"):
             edge_influence_budget(path_graph(4), _identity(4), t)
+
+    @pytest.mark.parametrize("order", [3, 6])
+    def test_refuses_a_map_of_another_order(self, order):
+        hc = from_edges(4, [(0, 3)])
+        with pytest.raises(DomainError, match="pi must be a bijection"):
+            edge_influence_budget(hc, _identity(order), [0, 1])
 
     def test_influence_bounded_by_t_degree(self):
         rng = derive_rng(4242, None)
