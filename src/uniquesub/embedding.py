@@ -13,7 +13,7 @@ from math import factorial, perm
 from operator import ge
 from typing import Iterable, Sequence
 
-from .canon import aut_order, canonicalize, decode_canon_bytes
+from .canon import aut_order, canonicalize, decode_canon_bytes, refinement_key
 from .census import census_entries
 from .errors import DomainError
 from .graphs import Graph, VertexMap, emit_graph6
@@ -245,6 +245,16 @@ def _f_value(h: Graph, universe: str, unique: int) -> FValue:
                   denominator=denominator, f=Fraction(unique) / denominator)
 
 
+def _classes_by_key(hosts: Sequence[Graph]) -> dict[bytes, int]:
+    """Each ``refinement_key`` of ``hosts`` to the index of the one host that
+    has it, or to -1 when two or more share it."""
+    owner: dict[bytes, int] = {}
+    for i, h in enumerate(hosts):
+        key = refinement_key(h.adj)
+        owner[key] = -1 if key in owner else i
+    return owner
+
+
 def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
     """f of one host per isomorphism class of order ``n``, in census order,
     every host decided in one pass over the census by edge deletion.
@@ -259,7 +269,12 @@ def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
     counter, in binary bit planes, starts at its edge count (``edge_planes``)
     and gains one per child holding it.  An order-n class counts twice in all
     sizes when it has an isolated vertex and an edge (``twice``, empty for the
-    spanning universe), as in ``f_of_h``."""
+    spanning universe), as in ``f_of_h``.
+
+    A child is an order-n graph, so its class is in the census and its
+    ``refinement_key`` is a key of some class.  When no other class has that
+    key, the key names the child's class, since isomorphic graphs share keys;
+    only a child whose key two classes share is canonicalised."""
     if not 1 <= n <= F_MAX_EXACT_MAX_N:
         raise DomainError(f"exact f maximization supports 1..{F_MAX_EXACT_MAX_N}, got {n}")
     if universe not in (ALL_SIZES, SPANNING_ONLY):
@@ -267,6 +282,7 @@ def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
     entries = census_entries(n)
     index = {canon_bytes: i for i, (canon_bytes, _) in enumerate(entries)}
     hosts = [decode_canon_bytes(canon_bytes) for canon_bytes, _ in entries]
+    by_key = _classes_by_key(hosts)
     npairs = n * (n - 1) // 2
     layers: list[list[int]] = [[] for _ in range(npairs + 1)]  # entry k: the hosts with k edges
     edge_planes = [0] * (2 * npairs).bit_length()  # a held class's counter stays below 2 e(H)
@@ -288,7 +304,10 @@ def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
                 adj = list(h.adj)
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
-                carry = below[index[canonicalize(Graph(n, tuple(adj))).canon_bytes]]
+                child = by_key[refinement_key(adj)]
+                if child < 0:
+                    child = index[canonicalize(Graph(n, tuple(adj))).canon_bytes]
+                carry = below[child]
                 children |= carry
                 for j, plane in enumerate(planes):
                     planes[j], carry = plane ^ carry, plane & carry

@@ -196,12 +196,13 @@ class TestOnePathPerCommand:
         assert (searches, calls) == ([], [])
 
     def test_f_exact_computes_each_f_value_once(self, capsys, monkeypatch):
-        # one canonical search per host edge, of H - e, and none of a host itself
+        # one canonical search per child H - e whose refinement key two classes
+        # share, and none of a host itself
         children = count_calls(monkeypatch, "canonicalize", embedding)
         calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
-        code, out, _ = run_cli(capsys, "f-exact", "--n", "4")
-        assert code == 0 and len(json.loads(out)["table"]) == 11
-        assert (len(children), calls) == (33, [])
+        code, out, _ = run_cli(capsys, "f-exact", "--n", "6")
+        assert code == 0 and len(json.loads(out)["table"]) == 156
+        assert (len(children), calls) == (32, [])
 
     def test_process_locates_each_interval_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "uniqueness_interval", cli, process)

@@ -14,7 +14,7 @@ from oracles import (all_labelled, beta_ppf_interval, brute_count_embeddings, br
                      graph_from_mask, numpy_generator, plain_count_embeddings,
                      plain_unique_count, random_graph, vf2_count_embeddings)
 from uniquesub import census, embedding
-from uniquesub.canon import aut_order, canonicalize
+from uniquesub.canon import aut_order, canonicalize, decode_canon_bytes, refinement_key
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, clopper_pearson,
                                  count_embeddings, count_subgraph_copies,
@@ -362,6 +362,24 @@ def test_children_holding_a_class_count_its_copies(n):
             holding = sum(plain_count_embeddings(g, c, early_exit_at=1).count for c in children)
             gap = len(edges) - g.edge_count()
             assert holding == 0 if s == 0 else holding == gap if s == 1 else holding > gap
+
+
+@pytest.mark.parametrize("n, unique_keys", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34),
+                                             (6, 148), (7, 1000)])
+def test_a_unique_key_names_the_class_of_every_child(n, unique_keys):
+    """Every child H - e whose key one class alone has is of that class, by
+    ``canonicalize``; the classes with a key of their own are counted."""
+    entries = census.census_entries(n)
+    index = {canon_bytes: i for i, (canon_bytes, _) in enumerate(entries)}
+    hosts = [decode_canon_bytes(canon_bytes) for canon_bytes, _ in entries]
+    by_key = embedding._classes_by_key(hosts)
+    for h in hosts:
+        for u, v in h.edges():
+            child = from_edges(n, [edge for edge in h.edges() if edge != (u, v)])
+            named = by_key[refinement_key(child.adj)]
+            if named >= 0:
+                assert named == index[canonicalize(child).canon_bytes]
+    assert sum(i >= 0 for i in by_key.values()) == unique_keys
 
 
 class TestEstimate:

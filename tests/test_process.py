@@ -42,7 +42,6 @@ class TestTrace:
     def test_uniformity_chi_square_n4_m3(self):
         # classes of 3-edge graphs on 4 vertices: triangle 4/20, star 4/20, path 12/20
         trials = 100_000
-        rng = derive_rng(314159, None)
         observed = {(0, 2, 2, 2): 0, (1, 1, 1, 3): 0, (1, 1, 2, 2): 0}
         for i in range(trials):
             tr = sample_trace(4, 314159, index=i)
