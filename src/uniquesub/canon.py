@@ -21,11 +21,6 @@ automorphisms found generate its stabiliser, so by orbit-stabiliser |Aut|
 is the product over first-path nodes of the orbit size of the first child
 within its target cell.
 
-``refinement_key`` is the root partition's quotient alone, with no search:
-an isomorphism invariant that tells most classes of one order apart, so a
-caller that holds every class can name a graph's class from its key unless
-two classes share it.
-
 ``canonicalize`` keeps no memo of the forms it computes: the search is
 deterministic, so a repeat call returns the same form, and no caller repeats
 a graph often enough for a table to pay for the memory it holds.
@@ -89,27 +84,6 @@ def _refine(adj: Sequence[int], cells: list[list[int]]) -> list[list[int]]:
                 changed = True
                 break
     return cells
-
-
-def refinement_key(adj: Sequence[int]) -> bytes:
-    """The quotient of the root equitable partition ``_refine(adj, [all])``:
-    for each cell in order, its size, then its first vertex's neighbour
-    count in every cell, one byte each (a count is at most n <= 64).
-
-    Isomorphic graphs get equal keys.  ``_refine`` picks its splitter and
-    orders the fragments of a split by neighbour counts alone, so an
-    isomorphism carries the cells of one graph's partition, in order, onto
-    those of the other's; and in an equitable partition every vertex of a
-    cell has the same neighbour count in each cell, so the first vertex
-    speaks for its cell.  Graphs with equal keys need not be isomorphic."""
-    cells = _refine(adj, [list(range(len(adj)))])
-    masks = [sum(1 << v for v in cell) for cell in cells]
-    key: list[int] = []
-    for cell in cells:
-        row = adj[cell[0]]
-        key.append(len(cell))
-        key.extend((row & mask).bit_count() for mask in masks)
-    return bytes(key)
 
 
 def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:

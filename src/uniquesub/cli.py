@@ -8,21 +8,23 @@ appends one JSON line per run with the full parameter set, seed, timestamps
 and payload, before the payload is printed, so a run whose record cannot be
 written prints nothing and exits 2.  Replaying a recorded stochastic command
 with its seed reproduces the payload byte for byte.
+
+A module that only some commands use (``bounds``, ``switching``, and
+``secrets``, which loads OpenSSL) is imported inside those commands, so
+the others do not pay for loading it.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import secrets
 import sys
 import time
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
-from . import bounds as bounds_mod
 from .canon import canon_graph6
 from .census import MAX_ENUMERATION_N, census_entries, nontrivial_aut_fraction, polya_report
 from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h, f_table,
@@ -32,12 +34,12 @@ from .graphs import Graph, VertexMap, emit_graph6, ingest_corpus, parse_graph6
 from .parallel import parallel_map
 from .process import (check_scan_order, embedding_trajectory, sample_trace,
                       uniqueness_interval, x_statistic)
-from .switching import (SwitchContext, apply_switch, classify_degrees, default_schedule,
-                        find_switch, is_embedding, refine_t, required_pairs,
-                        switch_probability)
 # Not called here; the benchmark's traced run (perfbench/tracing.py) wraps these names.
 from .embedding import count_embeddings, f_max_exact  # noqa: F401
 from .sampling import derive_rng, gnp_half  # noqa: F401
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
 
 
 def jsonable(value: Any) -> Any:
@@ -62,7 +64,10 @@ def _universe(args: argparse.Namespace) -> str:
 
 
 def _need_seed(args: argparse.Namespace) -> int:
-    return args.seed if args.seed is not None else secrets.randbits(63)
+    if args.seed is not None:
+        return args.seed
+    import secrets  # deferred: it loads OpenSSL, and a seeded run needs none
+    return secrets.randbits(63)
 
 
 def _tokens(text: str) -> list[str]:
@@ -204,6 +209,8 @@ def _render_process(payload: dict[str, Any]) -> str:
 
 
 def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
+    from .switching import (SwitchContext, apply_switch, find_switch, is_embedding,
+                            required_pairs, switch_probability)
     hc = parse_graph6(args.hc)
     g = parse_graph6(args.g)
     pi = VertexMap(hc.n, hc.n, tuple(int(tok) for tok in args.pi.split(",")))
@@ -226,6 +233,7 @@ def _cmd_switch(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_refine_t(args: argparse.Namespace) -> dict[str, Any]:
+    from .switching import classify_degrees, default_schedule, refine_t
     hc = parse_graph6(args.hc)
     dc = classify_degrees(hc, args.c)
     if args.schedule is not None:
@@ -247,7 +255,7 @@ def _cmd_refine_t(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _report_payload(report: bounds_mod.BoundReport) -> dict[str, Any]:
+def _report_payload(report: BoundReport) -> dict[str, Any]:
     """Payload of the bounds that return a ``BoundReport``."""
     return {"name": report.name, "inputs": report.inputs, "exact": report.exact_value,
             "bound": report.bound_value, "slack": report.slack}
@@ -283,6 +291,7 @@ def _refuse_oversize(log10_low: Callable[[], float], option: str, given: int) ->
 
 
 def _cmd_binom_point_mass(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounds as bounds_mod
     _refuse_oversize(lambda: bounds_mod.binomial_point_mass_log10(args.n_pairs),
                      "--n-pairs", args.n_pairs)
     report = bounds_mod.binomial_point_mass_max(args.n_pairs)
@@ -291,6 +300,7 @@ def _cmd_binom_point_mass(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_chernoff_l(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounds as bounds_mod
     level, tail = bounds_mod.chernoff_l(args.delta, args.n)
     _check_printable(tail, "--n", args.n)
     return {"name": "chernoff-l", "inputs": {"delta": args.delta, "n": args.n},
@@ -298,12 +308,14 @@ def _cmd_chernoff_l(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_azuma(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounds as bounds_mod
     influences = [float(tok) for tok in args.b.split(",")]
     return {"name": "azuma", "inputs": {"t": args.t, "b": influences},
             "bound": bounds_mod.azuma_tail(args.t, influences)}
 
 
 def _cmd_expected_embeddings(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounds as bounds_mod
     _refuse_oversize(lambda: bounds_mod.expected_embeddings_log10(args.n, args.e_h),
                      "--n", args.n)
     value = bounds_mod.expected_embeddings(args.n, args.e_h)
@@ -313,6 +325,7 @@ def _cmd_expected_embeddings(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_density_decay(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounds as bounds_mod
     _refuse_oversize(lambda: bounds_mod.density_decay_log10(args.e_h, args.n_pairs, args.steps,
                                                             args.m_star),
                      "--steps", args.steps)
@@ -327,12 +340,14 @@ def _cmd_density_decay(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_dense_case(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounds as bounds_mod
     payload = _report_payload(bounds_mod.dense_case_inequality(args.delta, args.c, args.n))
     payload["holds"] = payload["slack"] > 0
     return payload
 
 
 def _cmd_union_budget(args: argparse.Namespace) -> dict[str, Any]:
+    from . import bounds as bounds_mod
     if args.log_base is None:
         _refuse_oversize(lambda: bounds_mod.union_budget_log10(args.n), "--n", args.n)
     value = bounds_mod.union_budget(args.n, args.log_base)

@@ -14,7 +14,7 @@ from oracles import (all_labelled, bucket_all_labelled, decode_canon_bytes_from_
                      exhaustive_canon, graph_from_mask, mask_from_graph, random_graph,
                      to_networkx)
 from uniquesub.canon import (are_isomorphic, aut_order, canon_graph6, canonicalize,
-                             decode_canon_bytes, refinement_key)
+                             decode_canon_bytes)
 from uniquesub.census import census_entries, enumerate_unlabelled
 from uniquesub.graphs import (complement, complete_graph, cycle_graph, emit_graph6, empty_graph,
                               from_edges, parse_graph6, path_graph, relabel)
@@ -290,14 +290,6 @@ def test_canon_invariant_under_random_relabelling(n, seed_mask, rnd):
     rnd.shuffle(perm)
     assert canonicalize(relabel(g, perm)).canon_bytes == canonicalize(g).canon_bytes
     assert are_isomorphic(g, relabel(g, perm))
-
-
-@given(st.integers(1, 8), st.integers(0, 2 ** 28 - 1), st.randoms(use_true_random=False))
-def test_refinement_key_invariant_under_relabelling(n, seed_mask, rnd):
-    g = graph_from_mask(n, seed_mask & ((1 << n * (n - 1) // 2) - 1))
-    perm = list(range(n))
-    rnd.shuffle(perm)
-    assert refinement_key(relabel(g, perm).adj) == refinement_key(g.adj)
 
 
 def test_orbit_stabilizer_identity():

@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from uniquesub import census, cli, embedding, ingest_corpus, parallel, process
+from uniquesub import (bounds, census, cli, embedding, ingest_corpus, parallel, process,
+                       switching)
 from uniquesub.cli import main
 from uniquesub.errors import Graph6Error
 from uniquesub.switching import RefinementResult
@@ -196,13 +197,13 @@ class TestOnePathPerCommand:
         assert (searches, calls) == ([], [])
 
     def test_f_exact_computes_each_f_value_once(self, capsys, monkeypatch):
-        # one canonical search per child H - e whose refinement key two classes
-        # share, and none of a host itself
+        # one canonical search per child H - e whose signature two classes
+        # share, and none of a host itself: at n = 6 every class has its own
         children = count_calls(monkeypatch, "canonicalize", embedding)
         calls = count_calls(monkeypatch, "f_of_h", cli, embedding)
         code, out, _ = run_cli(capsys, "f-exact", "--n", "6")
         assert code == 0 and len(json.loads(out)["table"]) == 156
-        assert (len(children), calls) == (32, [])
+        assert (len(children), calls) == (0, [])
 
     def test_process_locates_each_interval_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, "uniqueness_interval", cli, process)
@@ -377,7 +378,7 @@ class TestBoundsCommand:
         def unbuilt(*args):
             raise AssertionError(f"{evaluator} ran")
 
-        monkeypatch.setattr(cli.bounds_mod, evaluator, unbuilt)
+        monkeypatch.setattr(bounds, evaluator, unbuilt)
         code, out, err = run_cli(capsys, "bounds", *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == {
@@ -396,7 +397,7 @@ class TestBoundsCommand:
         def unbuilt(n):
             raise AssertionError("exact factorial built")
 
-        monkeypatch.setattr(cli.bounds_mod, "factorial", unbuilt)
+        monkeypatch.setattr(bounds, "factorial", unbuilt)
         code, out, _ = run_cli(capsys, "bounds", "union-budget", "--n", str(10 ** 11),
                                "--log-base", "2")
         assert code == 0
@@ -405,7 +406,7 @@ class TestBoundsCommand:
 
     def test_no_digit_limit_refuses_nothing(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-        monkeypatch.setattr(cli.bounds_mod, "union_budget", lambda n, log_base: 1 / n)
+        monkeypatch.setattr(bounds, "union_budget", lambda n, log_base: 1 / n)
         code, out, _ = run_cli(capsys, "bounds", "union-budget", "--n", "300000")
         assert code == 0 and json.loads(out)["exact"] == 1 / 300000
 
@@ -500,7 +501,7 @@ def _nan_refinement(hc, b_prime, schedule):
 ], ids=["azuma-nan", "union-budget-nan", "schedule-inf"])
 def test_non_json_payload_exits_two_and_prints_nothing(capsys, tmp_path, monkeypatch,
                                                        target, stub, argv):
-    monkeypatch.setattr(cli.bounds_mod if target != "refine_t" else cli, target, stub)
+    monkeypatch.setattr(bounds if target != "refine_t" else switching, target, stub)
     record = tmp_path / "runs.jsonl"
     code, out, err = run_cli(capsys, "--record", str(record), *argv)
     assert code == 2 and out == "" and not record.exists()
@@ -539,22 +540,28 @@ def test_cli_import_leaves_scipy_unloaded():
     # Each command imports only what it runs: sampling no numpy, estimate's
     # interval scipy.special (which loads numpy), never the 1 s scipy.stats,
     # mpmath (about 40 ms) only where a bound builds an mpmath value, and the
-    # process pool (about 27 ms) only where a map starts one.
+    # process pool (about 27 ms) only where a map starts one; bounds only in
+    # a bound, switching only in switch and refine-t, and secrets (which
+    # loads OpenSSL) only where a run draws its own seed.
     # Each check runs in a fresh interpreter.
     import subprocess
     import sys
     report = ("print(sorted(m for m in ('mpmath', 'numpy', 'scipy', 'scipy.special',"
-              " 'scipy.stats', 'multiprocessing', 'concurrent.futures.process')"
-              " if m in sys.modules))")
+              " 'scipy.stats', 'multiprocessing', 'concurrent.futures.process', 'secrets',"
+              " 'uniquesub.bounds', 'uniquesub.switching') if m in sys.modules))")
     cases = [
         (None, []),
-        (["bounds", "union-budget", "--n", "2"], []),
-        (["bounds", "union-budget", "--n", "2", "--log-base", "2"], ["mpmath"]),
+        (["bounds", "union-budget", "--n", "2"], ["uniquesub.bounds"]),
+        (["bounds", "union-budget", "--n", "2", "--log-base", "2"],
+         ["mpmath", "uniquesub.bounds"]),
         (["enumerate", "--n", "4"], []),
         (["f-exact", "--n", "3"], []),
+        # numpy.random, which scipy.special loads, imports secrets itself
         (["--threads", "1", "estimate", "--g6", "Bw", "--trials", "30", "--seed", "1"],
-         ["numpy", "scipy", "scipy.special"]),
+         ["numpy", "scipy", "scipy.special", "secrets"]),
         (["--threads", "1", "process", "--g6", "Bw", "--traces", "30", "--seed", "1"], []),
+        (["refine-t", "--hc", "C`", "--c", "1"], ["uniquesub.switching"]),
+        (["--threads", "1", "process", "--g6", "Bw", "--traces", "1"], ["secrets"]),
     ]
     for argv, loaded in cases:
         run_main = "" if argv is None else f"main({argv!r}); "
@@ -562,6 +569,46 @@ def test_cli_import_leaves_scipy_unloaded():
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
                              text=True)
         assert run.stdout.splitlines()[-1] == repr(loaded), argv
+
+
+# The names ``uniquesub`` exported when it imported every module at once.
+_PACKAGE_NAMES = {
+    "bounds": "BoundReport azuma_tail binomial_point_mass_max chernoff_l dense_case_inequality"
+              " density_decay_bound expected_embeddings union_budget",
+    "canon": "CanonicalForm are_isomorphic aut_order canonicalize",
+    "census": "MAX_ENUMERATION_N PolyaReport enumerate_unlabelled nontrivial_aut_fraction"
+              " polya_report unlabelled_count",
+    "embedding": "ALL_SIZES SPANNING_ONLY CountOutcome EstimateReport FValue count_embeddings"
+                 " count_subgraph_copies estimate_unique_prob f_max f_max_exact f_of_h f_table"
+                 " has_unique_embedding is_unique_subgraph verify_embedding",
+    "errors": "DomainError Graph6Error UniquesubError",
+    "graphs": "Graph VertexMap complement complete_graph cycle_graph empty_graph emit_graph6"
+              " from_edges induced_subgraph ingest_corpus parse_graph6 path_graph relabel",
+    "process": "ProcessTrace UniquenessInterval XStatistic embedding_trajectory sample_trace"
+               " supergraph_completion_prob uniqueness_interval x_statistic",
+    "switching": "DegreeClassification RefinementResult SwitchContext apply_switch"
+                 " classify_degrees default_schedule edge_influence_budget find_switch"
+                 " is_pi_switch refine_t required_pairs switch_probability",
+}
+
+
+def test_package_names_load_their_module_on_first_use():
+    import importlib
+    import subprocess
+    import sys
+    # a fresh interpreter: importing the package loads none of its modules
+    code = ("import sys, uniquesub;"
+            " print(sorted(m for m in sys.modules if m.startswith('uniquesub.')))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, text=True)
+    assert run.stdout.splitlines()[-1] == "[]"
+    import uniquesub
+    for module, names in _PACKAGE_NAMES.items():
+        mod = importlib.import_module(f"uniquesub.{module}")
+        for name in names.split():
+            assert getattr(uniquesub, name) is getattr(mod, name), name
+            assert name in uniquesub.__all__
+    with pytest.raises(AttributeError, match="no_such_name"):
+        uniquesub.no_such_name
 
 
 _POOLED_ESTIMATE_SCRIPT = """

@@ -14,7 +14,7 @@ from oracles import (all_labelled, beta_ppf_interval, brute_count_embeddings, br
                      graph_from_mask, numpy_generator, plain_count_embeddings,
                      plain_unique_count, random_graph, vf2_count_embeddings)
 from uniquesub import census, embedding
-from uniquesub.canon import aut_order, canonicalize, decode_canon_bytes, refinement_key
+from uniquesub.canon import aut_order, canonicalize, decode_canon_bytes
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, clopper_pearson,
                                  count_embeddings, count_subgraph_copies,
@@ -22,7 +22,8 @@ from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, clopper_pearson,
                                  has_unique_embedding, is_unique_subgraph, unique_trial)
 from uniquesub.errors import DomainError
 from uniquesub.graphs import (Graph, VertexMap, complement, complete_graph, emit_graph6,
-                              empty_graph, from_edges, pair_list, parse_graph6, path_graph)
+                              empty_graph, from_edges, pair_list, parse_graph6, path_graph,
+                              relabel)
 from uniquesub.process import sample_trace, uniqueness_interval
 from uniquesub.sampling import derive_rng, gnp_half
 
@@ -365,10 +366,11 @@ def test_children_holding_a_class_count_its_copies(n):
 
 
 @pytest.mark.parametrize("n, unique_keys", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34),
-                                             (6, 148), (7, 1000)])
+                                             (6, 156), (7, 1044)])
 def test_a_unique_key_names_the_class_of_every_child(n, unique_keys):
-    """Every child H - e whose key one class alone has is of that class, by
-    ``canonicalize``; the classes with a key of their own are counted."""
+    """Every child H - e whose signature one class alone has is of that
+    class, by ``canonicalize``; the classes with a signature of their own
+    are counted."""
     entries = census.census_entries(n)
     index = {canon_bytes: i for i, (canon_bytes, _) in enumerate(entries)}
     hosts = [decode_canon_bytes(canon_bytes) for canon_bytes, _ in entries]
@@ -376,10 +378,34 @@ def test_a_unique_key_names_the_class_of_every_child(n, unique_keys):
     for h in hosts:
         for u, v in h.edges():
             child = from_edges(n, [edge for edge in h.edges() if edge != (u, v)])
-            named = by_key[refinement_key(child.adj)]
+            named = by_key[embedding._signature(child.adj)]
             if named >= 0:
                 assert named == index[canonicalize(child).canon_bytes]
     assert sum(i >= 0 for i in by_key.values()) == unique_keys
+
+
+@given(st.integers(1, 8), st.integers(0, 2 ** 28 - 1), st.randoms(use_true_random=False))
+def test_signature_invariant_under_relabelling(n, seed_mask, rnd):
+    g = graph_from_mask(n, seed_mask & ((1 << n * (n - 1) // 2) - 1))
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    assert embedding._signature(relabel(g, perm).adj) == embedding._signature(g.adj)
+
+
+@pytest.mark.parametrize("universe", [ALL_SIZES, SPANNING_ONLY])
+def test_f_table_canonicalises_a_child_whose_key_is_shared(monkeypatch, universe):
+    # with one signature for every graph, every child takes the canonical search
+    expected = f_table(6, universe)
+    searches = []
+
+    def counted(g):
+        searches.append(g)
+        return canonicalize(g)
+
+    monkeypatch.setattr(embedding, "_signature", lambda adj: b"")
+    monkeypatch.setattr(embedding, "canonicalize", counted)
+    assert f_table(6, universe) == expected
+    assert len(searches) == sum(fv.h.edge_count() for fv in expected) == 1170
 
 
 class TestEstimate:
