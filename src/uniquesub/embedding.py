@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, perm
 from operator import ge
 from typing import Iterable, Sequence
@@ -16,7 +17,7 @@ from typing import Iterable, Sequence
 from .canon import aut_order, canonicalize, decode_canon_bytes
 from .census import census_entries
 from .errors import DomainError
-from .graphs import Graph, VertexMap, emit_graph6
+from .graphs import Graph, VertexMap, _graph, complement, emit_graph6
 from .sampling import derive_rng, gnp_half
 
 ALL_SIZES = "all-sizes"
@@ -59,13 +60,35 @@ def count_embeddings(g: Graph, h: Graph, early_exit_at: int | None = None) -> Co
     With ``early_exit_at=k`` the search stops at the k-th embedding and
     reports k with ``is_exact`` False.  A larger ``g`` than ``h`` yields zero
     by convention (no injection exists).  ``_count`` holds the exact rules.
+
+    At equal order an embedding is a bijection, and pi embeds G into H iff
+    pi^-1 embeds H^c into G^c: both say that no edge of G lands on a
+    non-edge of H.  The two counts are equal, and so is each count clamped
+    at ``early_exit_at``.  The search therefore maps the pattern with fewer
+    edges: H^c into G^c when e(G) + e(H) > N = n(n-1)/2, G into H otherwise,
+    a tie included.
     """
     if early_exit_at is not None and early_exit_at < 1:
         raise DomainError("early_exit_at must be at least 1")
     if g.n > h.n:
         return CountOutcome(0)
-    count = _count(*_plan(g), _host(h), early_exit_at)
+    host, edges, _, plan_c = _host_side(h.adj)
+    if g.n == h.n and g.edge_count() + edges > g.n * (g.n - 1) // 2:
+        count = _count(*plan_c, _host(complement(g)), early_exit_at)
+    else:
+        count = _count(*_plan(g), host, early_exit_at)
     return CountOutcome(count, early_exit_at is None or count < early_exit_at)
+
+
+@lru_cache(maxsize=1)
+def _host_side(adj: tuple[int, ...]) -> tuple[tuple[list[int], tuple[int, ...], list[int]], int,
+                                               bool, tuple[tuple[int, ...], list[list[int]]]]:
+    """What every count into the host with rows ``adj`` reads of it: its
+    ``_host``, its edge count, whether it has twins, and the plan of its
+    complement.  One entry is kept: a run's trials and traces share their
+    host, so each worker misses once per run."""
+    h = _graph(len(adj), adj)
+    return _host(h), h.edge_count(), _has_twins(adj), _plan(complement(h))
 
 
 def _count(degrees: Sequence[int], prev: Sequence[Sequence[int]],
@@ -192,7 +215,7 @@ def has_unique_embedding(g: Graph, h: Graph) -> bool:
     either graph the count is even, never 1."""
     if g.n != h.n:
         raise DomainError("unique-embedding test requires equal vertex counts")
-    if _has_twins(g.adj) or _has_twins(h.adj):
+    if _host_side(h.adj)[2] or _has_twins(g.adj):
         return False
     return count_embeddings(g, h, early_exit_at=2).is_one
 

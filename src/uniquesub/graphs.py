@@ -47,7 +47,7 @@ class Graph:
         return self.adj[v].bit_count()
 
     def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -110,6 +110,14 @@ class VertexMap:
         return VertexMap(n, n, tuple(range(n)))
 
 
+def _graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """The graph with rows ``adj``, built without ``Graph``'s checks: only for
+    rows symmetric, loop-free and inside 1..n by construction."""
+    g = object.__new__(Graph)
+    g.__dict__.update(n=n, adj=adj)
+    return g
+
+
 def _bits(mask: int) -> list[int]:
     out = []
     v = 0
@@ -154,7 +162,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return _graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -220,7 +228,7 @@ def from_code(n: int, code: int) -> Graph:
         u, v, bit_u, bit_v, _ = pair_bits[low.bit_length() - 1]
         adj[u] |= bit_v
         adj[v] |= bit_u
-    return Graph(n, tuple(adj))
+    return _graph(n, tuple(adj))
 
 
 def graph6_of_code(n: int, code: int) -> bytes:

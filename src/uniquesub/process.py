@@ -16,14 +16,17 @@ from typing import Iterable, Mapping
 
 from .embedding import CountOutcome, count_embeddings
 from .errors import DomainError
-from .graphs import Graph, MAX_VERTICES, from_edges
+from .graphs import Graph, MAX_VERTICES, _graph
 from .sampling import derive_rng, random_pair_order
 
 # An embedding trajectory counts every embedding at each probed step.  Step
 # 0's n! are counted without a search, its vertices all being isolated, but
-# the middle steps' live parts still span nearly every vertex: one full K7
-# trajectory took 0.10 s, K8 1.0 s and K9 10.6 s (one process, 2-vCPU VM),
-# so K10 would take minutes.  The same limit as the census's MAX_ENUMERATION_N.
+# the middle steps' live parts still span nearly every vertex.  One full
+# trajectory (three seeded traces each, one process, 2-vCPU VM) took at most
+# 0.80 s on K9 minus a 4-edge matching, 0.21 s on G(9, 0.85), 0.08 s on
+# G(9, 0.7) and 0.03 s on G(9, 0.5); K9 takes 1 ms, its complement pattern
+# being edgeless.  K10 minus a 5-edge matching took 9.4 s.  The same limit as
+# the census's MAX_ENUMERATION_N.
 SCAN_ALL_MAX_N = 9
 
 
@@ -40,9 +43,14 @@ class ProcessTrace:
         return self.n * (self.n - 1) // 2
 
     def graph_at(self, m: int) -> Graph:
+        """G_m; its rows are valid by construction, the pairs being ``pair_list``'s."""
         if not 0 <= m <= self.total_pairs:
             raise DomainError(f"step {m} outside 0..{self.total_pairs}")
-        return from_edges(self.n, self.edge_order[:m])
+        adj = [0] * self.n
+        for u, v in self.edge_order[:m]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return _graph(self.n, tuple(adj))
 
 
 @dataclass(frozen=True)

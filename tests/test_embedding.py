@@ -115,6 +115,64 @@ class TestCountEmbeddings:
         assert after <= before
 
 
+def _equal_order_class_pairs(max_n: int):
+    for n in range(1, max_n + 1):
+        classes = list(enumerate_unlabelled(n))
+        for g in classes:
+            for h in classes:
+                yield g, h
+
+
+def test_both_sides_match_plain_search_at_equal_order():
+    # pi embeds G into H iff pi^-1 embeds H^c into G^c, so both sides give
+    # every count, clamped or not; the complement pair is the true one
+    for g, h in _equal_order_class_pairs(5):
+        hc, gc = complement(h), complement(g)
+        assert hc == from_edges(h.n, [p for p in pair_list(h.n) if not h.has_edge(*p)])
+        assert gc == from_edges(g.n, [p for p in pair_list(g.n) if not g.has_edge(*p)])
+        for early in (None, 1, 2, 3):
+            plain = plain_count_embeddings(g, h, early)
+            direct = embedding._count(*embedding._plan(g), embedding._host(h), early)
+            flipped = embedding._count(*embedding._plan(hc), embedding._host(gc), early)
+            assert direct == flipped == plain.count, (g, h, early)
+            assert count_embeddings(g, h, early) == plain, (g, h, early)
+
+
+def test_equal_order_counts_search_the_pattern_with_fewer_edges(monkeypatch):
+    searched = []
+    real_count = embedding._count
+
+    def spy(degrees, prev, host, early_exit_at):
+        searched.append((degrees, prev, host[1]))
+        return real_count(degrees, prev, host, early_exit_at)
+
+    monkeypatch.setattr(embedding, "_count", spy)
+    pairs = list(_equal_order_class_pairs(4))
+    h8 = parse_graph6("Gyh|^k")
+    pairs += [(gnp_half(8, derive_rng(11, i)), h8) for i in range(100)]
+    pairs += [(h8, gnp_half(8, derive_rng(12, i))) for i in range(100)]
+    sides = set()
+    for g, h in pairs:
+        searched.clear()
+        count_embeddings(g, h, 2)
+        flip = g.edge_count() + h.edge_count() > g.n * (g.n - 1) // 2
+        pattern, host = (complement(h), complement(g)) if flip else (g, h)
+        assert searched == [(*embedding._plan(pattern), host.adj)], (g, h)
+        sides.add(flip)
+    assert sides == {True, False}
+    # a smaller pattern is always searched directly
+    searched.clear()
+    count_embeddings(complete_graph(3), h8)
+    assert searched == [(*embedding._plan(complete_graph(3)), h8.adj)]
+
+
+def test_host_side_is_built_once_per_host():
+    embedding._host_side.cache_clear()
+    estimate_unique_prob(parse_graph6("Gyh|^k"), 300, 5)
+    info = embedding._host_side.cache_info()
+    assert info.misses == 1 and info.hits >= 299  # each trial looks the host up
+
+
 class TestAgainstVF2:
     def test_early_exit_counts_match_vf2(self):
         rng = random.Random(12)

@@ -150,6 +150,15 @@ class TestFromCode:
             mask = rng.getrandbits(n * (n - 1) // 2)
             assert from_code(n, mask) == graph_from_mask(n, mask)
 
+    def test_unchecked_rows_pass_the_checks(self):
+        # from_code and complement skip Graph's checks; their rows pass them
+        rng = random.Random(2026)
+        for n in (*range(1, 13), 64):
+            for _ in range(20):
+                g = from_code(n, rng.getrandbits(n * (n - 1) // 2))
+                assert g == Graph(n, g.adj)
+                assert complement(g) == Graph(n, complement(g).adj)
+
     @pytest.mark.parametrize("n, code", [(4, -1), (4, 1 << 6), (0, 0), (65, 0), (2000, 0)])
     def test_rejects_an_order_or_code_out_of_range(self, n, code):
         with pytest.raises(DomainError):

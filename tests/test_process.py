@@ -13,7 +13,7 @@ from uniquesub.canon import aut_order
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import count_embeddings
 from uniquesub.errors import DomainError
-from uniquesub.graphs import complete_graph, emit_graph6, pair_list
+from uniquesub.graphs import Graph, complete_graph, emit_graph6, from_edges, pair_list
 from uniquesub.process import (ProcessTrace, embedding_trajectory, sample_trace,
                                supergraph_completion_prob, uniqueness_interval,
                                x_statistic)
@@ -38,6 +38,15 @@ class TestTrace:
         tr = sample_trace(8, 1, 0)
         assert [emit_graph6(tr.graph_at(m)) for m in (0, 14, 28)] == [
             b"G?????", b"GPY}FO", b"G~~~~{"]
+
+    def test_graph_at_rows_pass_the_checks(self):
+        # graph_at skips Graph's checks; its rows pass them and match from_edges
+        for n in (2, 5, 8, 12):
+            for index in range(5):
+                tr = sample_trace(n, 31, index)
+                for m in range(tr.total_pairs + 1):
+                    g = tr.graph_at(m)
+                    assert g == Graph(n, g.adj) == from_edges(n, tr.edge_order[:m])
 
     def test_uniformity_chi_square_n4_m3(self):
         # classes of 3-edge graphs on 4 vertices: triangle 4/20, star 4/20, path 12/20
