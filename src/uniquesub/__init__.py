@@ -21,8 +21,8 @@ _MODULE_NAMES = {
                "empty_graph", "emit_graph6", "from_edges", "induced_subgraph",
                "ingest_corpus", "parse_graph6", "path_graph", "relabel"),
     "process": ("ProcessTrace", "UniquenessInterval", "XStatistic", "embedding_trajectory",
-                "sample_trace", "supergraph_completion_prob", "uniqueness_interval",
-                "x_statistic"),
+                "run_traces", "sample_trace", "supergraph_completion_prob",
+                "uniqueness_interval", "x_statistic"),
     "switching": ("DegreeClassification", "RefinementResult", "SwitchContext",
                   "apply_switch", "classify_degrees", "default_schedule",
                   "edge_influence_budget", "find_switch", "is_pi_switch", "refine_t",

@@ -21,21 +21,19 @@ import math
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
 from .canon import canon_graph6
 from .census import MAX_ENUMERATION_N, census_entries, nontrivial_aut_fraction, polya_report
-from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_report, f_max, f_of_h, f_table,
+from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_unique_prob, f_max, f_of_h, f_table,
                         unique_trial)
 from .errors import DomainError, UniquesubError
-from .graphs import Graph, VertexMap, emit_graph6, ingest_corpus, parse_graph6
-from .parallel import parallel_map
-from .process import (check_scan_order, embedding_trajectory, sample_trace,
-                      uniqueness_interval, x_statistic)
+from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
+from .process import run_traces, trace_record
 # Not called here; the benchmark's traced run (perfbench/tracing.py) wraps these names.
 from .embedding import count_embeddings, f_max_exact  # noqa: F401
+from .process import sample_trace, uniqueness_interval, x_statistic  # noqa: F401
 from .sampling import derive_rng, gnp_half  # noqa: F401
 
 if TYPE_CHECKING:
@@ -143,27 +141,21 @@ def _cmd_f_of_h(args: argparse.Namespace) -> dict[str, Any]:
     return _f_entry(f_of_h(h, _universe(args)))
 
 
-@lru_cache(maxsize=1)
-def _host(h_g6: str) -> Graph:
-    """The host of a run's work units, parsed once per process: every unit
-    of a run names the same host."""
-    return parse_graph6(h_g6)
-
-
+# The benchmark's in-process pass (perfbench/workloads.py) runs one trial or
+# trace at a time through these two names.
 def _estimate_trial(work: tuple[str, int, int]) -> bool:
     h_g6, seed, index = work
-    return unique_trial(_host(h_g6), seed, index)
+    return unique_trial(parse_graph6(h_g6), seed, index)
+
+
+def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, Any]:
+    h_g6, seed, index, L, scan_all = work
+    return trace_record(parse_graph6(h_g6), seed, L, scan_all, index)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
-    parse_graph6(args.g6)  # a bad host fails here, before any worker starts
-    seed = _need_seed(args)
-    work = [(args.g6, seed, i) for i in range(args.trials)]
-    wins = parallel_map(_estimate_trial, work, args.threads)
-    # The interval's scipy.special (about 0.3 s with the numpy it loads)
-    # is imported here, while the workers run the trials.
-    import scipy.special  # noqa: F401
-    rep = estimate_report(sum(wins), args.trials, seed)
+    h = parse_graph6(args.g6)
+    rep = estimate_unique_prob(h, args.trials, _need_seed(args), args.threads)
     return {
         "h_g6": args.g6,
         "universe": "labelled-gnp-half",
@@ -175,32 +167,10 @@ def _cmd_estimate(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-def _process_one(work: tuple[str, int, int, float | None, bool]) -> dict[str, Any]:
-    h_g6, seed, index, L, scan_all = work
-    h = _host(h_g6)
-    trace = sample_trace(h.n, seed, index)
-    rec: dict[str, Any] = {"trace_index": index, "seed": seed}
-    if L is None:
-        interval = uniqueness_interval(trace, h)
-    else:
-        xs = x_statistic(trace, h, L)
-        interval = xs.interval
-        rec.update(L=L, x=xs.x, window=[xs.i_lo, xs.i_hi])
-    rec["interval"] = None if interval.is_empty else [interval.lo, interval.hi]
-    if scan_all:
-        steps = range(trace.total_pairs + 1)
-        rec["probes"] = [[m, out.count]
-                         for m, out in embedding_trajectory(trace, h, steps).items()]
-    return rec
-
-
 def _cmd_process(args: argparse.Namespace) -> dict[str, Any]:
-    h = parse_graph6(args.g6)  # a bad host fails here, before any worker starts
-    if args.scan_all:
-        check_scan_order(h.n)
+    h = parse_graph6(args.g6)
     seed = _need_seed(args)
-    work = [(args.g6, seed, i, args.L, args.scan_all) for i in range(args.traces)]
-    records = list(parallel_map(_process_one, work, args.threads))
+    records = run_traces(h, args.traces, seed, args.L, args.scan_all, args.threads)
     return {"h_g6": args.g6, "seed": seed, "traces": records}
 
 

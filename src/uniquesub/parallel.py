@@ -1,11 +1,13 @@
 """The one worker map behind every split computation.
 
-A work unit is a picklable module-level function of one item whose result
-depends on that item alone, so a map's results, taken in item order, are the
-same at any worker count.  The pool forks, so workers inherit every module
-the caller loaded before the map, and nothing it loads after: a caller can
-import what only it needs while the workers run.  The map itself imports
-nothing the units do not need.
+A work unit is a picklable function of one item whose result depends on
+that item alone, so a map's results, taken in item order, are the same at
+any worker count: a module-level function, or a ``functools.partial`` of one
+that binds a run's shared arguments (a host, a seed) ahead of the item.  The
+pool forks, so workers inherit every module the caller loaded before the
+map, and nothing it loads after: a caller can import what only it needs
+while the workers run.  The map itself imports nothing the units do not
+need.
 """
 from __future__ import annotations
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import ceil, comb, floor, isfinite
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .embedding import CountOutcome, count_embeddings
 from .errors import DomainError
 from .graphs import Graph, MAX_VERTICES, _graph
+from .parallel import parallel_map
 from .sampling import derive_rng, random_pair_order
 
 # An embedding trajectory counts every embedding at each probed step.  Step
@@ -156,10 +158,7 @@ def _verify_interval(trace: ProcessTrace, h: Graph, interval: UniquenessInterval
 
 def x_statistic(trace: ProcessTrace, h: Graph, L: float) -> XStatistic:
     """Size of the uniqueness interval inside [N/2 - Ln, N/2 + Ln], clipped."""
-    if L <= 0:
-        raise DomainError("interval half-width coefficient must be positive")
-    if not isfinite(L):
-        raise DomainError("interval half-width coefficient must be finite")
+    _check_half_width(L)
     total = trace.total_pairs
     center = Fraction(total, 2)
     radius = Fraction(L) * trace.n
@@ -171,6 +170,52 @@ def x_statistic(trace: ProcessTrace, h: Graph, L: float) -> XStatistic:
     else:
         x = max(0, min(interval.hi, i_hi) - max(interval.lo, i_lo) + 1)  # type: ignore[arg-type]
     return XStatistic(L=L, i_lo=i_lo, i_hi=i_hi, x=x, interval=interval)
+
+
+def _check_half_width(L: float) -> None:
+    if L <= 0:
+        raise DomainError("interval half-width coefficient must be positive")
+    if not isfinite(L):
+        raise DomainError("interval half-width coefficient must be finite")
+
+
+def trace_record(h: Graph, seed: int, L: float | None, scan_all: bool,
+                 index: int) -> dict[str, Any]:
+    """Trace ``index`` of a run against ``h``: its uniqueness interval, with
+    ``L`` the x statistic and its window, and with ``scan_all`` the exact
+    count at every step."""
+    trace = sample_trace(h.n, seed, index)
+    rec: dict[str, Any] = {"trace_index": index, "seed": seed}
+    if L is None:
+        interval = uniqueness_interval(trace, h)
+    else:
+        xs = x_statistic(trace, h, L)
+        interval = xs.interval
+        rec.update(L=L, x=xs.x, window=[xs.i_lo, xs.i_hi])
+    rec["interval"] = None if interval.is_empty else [interval.lo, interval.hi]
+    if scan_all:
+        steps = range(trace.total_pairs + 1)
+        rec["probes"] = [[m, out.count]
+                         for m, out in embedding_trajectory(trace, h, steps).items()]
+    return rec
+
+
+def run_traces(h: Graph, traces: int, seed: int, L: float | None = None,
+               scan_all: bool = False, threads: int | None = 1) -> list[dict[str, Any]]:
+    """``trace_record`` 0..traces-1 against ``h``, in order, on at most
+    ``threads`` workers (None: all cores).  Each trace draws from its own
+    stream, so the records are the same at any worker count.  Bad input is
+    refused before any worker starts."""
+    if traces < 1:
+        raise DomainError("traces must be at least 1")
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
+    if L is not None:
+        _check_half_width(L)
+    if scan_all:
+        check_scan_order(h.n)
+    return list(parallel_map(partial(trace_record, h, seed, L, scan_all), range(traces),
+                             threads))
 
 
 def supergraph_completion_prob(e_h: int, total: int, m_star: int, m2: int) -> Fraction:

@@ -10,8 +10,9 @@ import importlib.util
 from pathlib import Path
 
 from uniquesub import canon, census, cli
-from uniquesub.embedding import count_embeddings
-from uniquesub.graphs import complete_graph, path_graph
+from uniquesub.embedding import count_embeddings, estimate_unique_prob
+from uniquesub.graphs import complete_graph, parse_graph6, path_graph
+from uniquesub.process import run_traces
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -36,6 +37,15 @@ def test_pool_work_units_keep_their_signatures():
     record = cli._process_one(("C~", 1, 0, 0.5, False))
     assert record["trace_index"] == 0 and "x" in record
     assert cli.dumps(record).startswith("{")
+
+
+def test_pool_work_units_agree_with_the_library_runs():
+    # the traced montecarlo8 pass compares these units' sums with the CLI's payloads
+    h = parse_graph6("Gyh|^k")
+    wins = sum(cli._estimate_trial(("Gyh|^k", 1, i)) for i in range(300))
+    assert wins == estimate_unique_prob(h, 300, 1).successes
+    records = [cli._process_one(("Gyh|^k", 1, i, 0.5, False)) for i in range(5)]
+    assert records == run_traces(h, 5, 1, 0.5)
 
 
 def test_caches_the_traced_run_clears():

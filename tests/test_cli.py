@@ -180,13 +180,17 @@ def count_calls(monkeypatch, name, *modules):
 
 
 class TestOnePathPerCommand:
-    def test_work_units_parse_their_host_once(self, monkeypatch):
+    def test_work_units_parse_their_host_once(self, capsys, monkeypatch):
+        # each run parses its host once and hands the graph to every unit
         calls = count_calls(monkeypatch, "parse_graph6", cli)
-        cli._host.cache_clear()
-        wins = sum(cli._estimate_trial(("Gyh|^k", 1, i)) for i in range(6000))
-        cli._process_one(("Gyh|^k", 1, 0, 0.5, False))
-        assert calls == ["parse_graph6"]
-        assert wins == 109  # as when every trial parsed the host
+        code, out, _ = run_cli(capsys, "--threads", "1", "estimate", "--g6", "Gyh|^k",
+                               "--trials", "6000", "--seed", "1")
+        assert code == 0 and calls == ["parse_graph6"]
+        assert json.loads(out)["count"] == 109  # as when every trial parsed the host
+        calls.clear()
+        code, out, _ = run_cli(capsys, "--threads", "1", "process", "--g6", "Gyh|^k",
+                               "--traces", "150", "--L", "0.5", "--seed", "1")
+        assert code == 0 and calls == ["parse_graph6"] and len(out.splitlines()) == 150
 
     def test_f_exact_guard_runs_before_any_f_value(self, capsys, monkeypatch, fresh_census):
         # the refusal comes before any census level is built
@@ -611,27 +615,46 @@ def test_package_names_load_their_module_on_first_use():
         uniquesub.no_such_name
 
 
-_POOLED_ESTIMATE_SCRIPT = """
+_POOLED_UNIT_SCRIPT = """
 import multiprocessing
 import os
 import sys
 
-from uniquesub import cli
+from uniquesub import cli, embedding, process
 
-trial = cli._estimate_trial
+module, name = {"estimate": (embedding, "unique_trial"),
+                "process": (process, "trace_record")}[sys.argv[2]]
+unit = getattr(module, name)
 
 
-def reporting_trial(work):
+def reporting_unit(*args):
     with open(sys.argv[1], "a") as fh:
         fh.write(f"{os.getpid()} {'numpy' in sys.modules} {'scipy' in sys.modules}\\n")
-    return trial(work)
+    return unit(*args)
 
 
 if __name__ == "__main__":
-    cli._estimate_trial = reporting_trial
-    cli.main(["--threads", "2", "estimate", "--g6", "Gyh|^k", "--trials", "200", "--seed", "1"])
-    print(os.getpid(), "scipy.special" in sys.modules, len(multiprocessing.active_children()))
+    setattr(module, name, reporting_unit)
+    cli.main(["--threads", "2", *sys.argv[2:]])
+    print(os.getpid(), "numpy" in sys.modules, "scipy.special" in sys.modules,
+          len(multiprocessing.active_children()))
 """
+
+
+def run_pooled_units(tmp_path, *argv):
+    """Run ``argv`` at ``--threads 2`` in a fresh interpreter, logging each
+    work unit of the library's run; returns the payload lines, the parent's
+    (pid, numpy loaded, scipy.special loaded, live children) and the units'
+    (pid, numpy loaded, scipy loaded)."""
+    import subprocess
+    import sys
+    script = tmp_path / "unit_pool.py"
+    script.write_text(_POOLED_UNIT_SCRIPT)
+    log = tmp_path / "units.txt"
+    run = subprocess.run([sys.executable, str(script), str(log), *argv], capture_output=True,
+                         check=True, text=True, timeout=120)
+    *payload, report = run.stdout.splitlines()
+    return payload, report.split(), [line.split() for line in log.read_text().splitlines()]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two cores")
@@ -639,21 +662,24 @@ def test_pooled_estimate_trials_load_neither_numpy_nor_scipy(tmp_path):
     # The workers fork before the parent imports scipy.special for the
     # interval, and sampling loads no numpy, so no trial carries either; the
     # pool is shut down before the command returns.
-    import subprocess
-    import sys
-    script = tmp_path / "estimate_pool.py"
-    script.write_text(_POOLED_ESTIMATE_SCRIPT)
-    log = tmp_path / "trials.txt"
-    run = subprocess.run([sys.executable, str(script), str(log)], capture_output=True,
-                         check=True, text=True, timeout=120)
-    payload, report = run.stdout.splitlines()
-    assert json.loads(payload)["denominator"] == 200
-    parent, parent_scipy, live_children = report.split()
-    units = [line.split() for line in log.read_text().splitlines()]
+    payload, (parent, _, parent_scipy, live_children), units = run_pooled_units(
+        tmp_path, "estimate", "--g6", "Gyh|^k", "--trials", "200", "--seed", "1")
+    assert json.loads(payload[0])["denominator"] == 200
     assert len(units) == 200
     assert parent not in {pid for pid, _, _ in units}
     assert {(numpy, scipy) for _, numpy, scipy in units} == {("False", "False")}
     assert parent_scipy == "True" and live_children == "0"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool needs two cores")
+def test_pooled_process_traces_load_neither_numpy_nor_scipy(tmp_path):
+    payload, (parent, parent_numpy, parent_scipy, live_children), units = run_pooled_units(
+        tmp_path, "process", "--g6", "Gyh|^k", "--traces", "40", "--L", "0.5", "--seed", "1")
+    assert [json.loads(line)["trace_index"] for line in payload] == list(range(40))
+    assert len(units) == 40
+    assert parent not in {pid for pid, _, _ in units}
+    assert {(numpy, scipy) for _, numpy, scipy in units} == {("False", "False")}
+    assert (parent_numpy, parent_scipy, live_children) == ("False", "False", "0")
 
 
 _POOLED_CENSUS_SCRIPT = """

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import (all_labelled, beta_ppf_interval, brute_count_embeddings, brute_f_value,
                      graph_from_mask, numpy_generator, plain_count_embeddings,
                      plain_unique_count, random_graph, vf2_count_embeddings)
-from uniquesub import census, embedding
+from uniquesub import census, embedding, parallel
 from uniquesub.canon import aut_order, canonicalize, decode_canon_bytes
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import (ALL_SIZES, SPANNING_ONLY, clopper_pearson,
@@ -505,6 +505,22 @@ class TestEstimate:
         a = estimate_unique_prob(path_graph(4), trials=100, seed=99)
         b = estimate_unique_prob(path_graph(4), trials=100, seed=99)
         assert a == b
+
+    def test_thread_count_does_not_change_report(self):
+        h = parse_graph6("Gyh|^k")
+        serial = estimate_unique_prob(h, 6000, 1)
+        assert estimate_unique_prob(h, 6000, 1, threads=2) == serial
+        assert serial.successes == 109
+
+    @pytest.mark.parametrize("trials, seed", [(0, 1), (64, -1)], ids=["trials-0", "seed-minus-1"])
+    def test_refuses_bad_input_before_any_worker_starts(self, monkeypatch, pools, trials, seed):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        h = parse_graph6("Gyh|^k")
+        with pytest.raises(DomainError):
+            estimate_unique_prob(h, trials, seed, threads=2)
+        assert pools == []
+        estimate_unique_prob(h, 64, 1, threads=2)
+        assert pools == [2]
 
 
 def test_searches_build_no_vertex_map(monkeypatch, fresh_census):

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from uniquesub import process
+from uniquesub import parallel, process
 from uniquesub.canon import aut_order
 from uniquesub.census import enumerate_unlabelled
 from uniquesub.embedding import count_embeddings
 from uniquesub.errors import DomainError
-from uniquesub.graphs import Graph, complete_graph, emit_graph6, from_edges, pair_list
-from uniquesub.process import (ProcessTrace, embedding_trajectory, sample_trace,
-                               supergraph_completion_prob, uniqueness_interval,
+from uniquesub.graphs import (Graph, complete_graph, emit_graph6, from_edges, pair_list,
+                              parse_graph6)
+from uniquesub.process import (ProcessTrace, embedding_trajectory, run_traces, sample_trace,
+                               supergraph_completion_prob, trace_record, uniqueness_interval,
                                x_statistic)
 from uniquesub.sampling import derive_rng, gnp_half
 
@@ -230,3 +231,31 @@ def test_g_m_has_m_edges():
     for m in (0, 3, 9, 15):
         assert tr.graph_at(m).edge_count() == m
     assert comb(6, 2) == tr.total_pairs
+
+
+class TestRunTraces:
+    @pytest.mark.parametrize("L, scan_all, traces", [(None, False, 40), (0.5, False, 40),
+                                                     (None, True, 8)],
+                             ids=["interval", "L-0.5", "scan-all"])
+    def test_thread_count_does_not_change_records(self, L, scan_all, traces):
+        h = parse_graph6("Gyh|^k")
+        serial = run_traces(h, traces, 1, L, scan_all)
+        assert run_traces(h, traces, 1, L, scan_all, threads=2) == serial
+        assert serial == [trace_record(h, 1, L, scan_all, i) for i in range(traces)]
+        assert [rec["trace_index"] for rec in serial] == list(range(traces))
+
+    @pytest.mark.parametrize("g6, traces, seed, L, scan_all", [
+        ("Gyh|^k", 0, 1, None, False),
+        ("Gyh|^k", 16, -1, None, False),
+        ("Gyh|^k", 16, 1, -0.5, False),
+        ("I~~~~~~~w", 16, 1, None, True),
+    ], ids=["traces-0", "seed-minus-1", "L-minus-0.5", "scan-all-K10"])
+    def test_refuses_bad_input_before_any_worker_starts(self, monkeypatch, pools, g6, traces,
+                                                        seed, L, scan_all):
+        # unrefused, each would start a pool of 2 and fail in its first unit, or not at all
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        with pytest.raises(DomainError):
+            run_traces(parse_graph6(g6), traces, seed, L, scan_all, threads=2)
+        assert pools == []
+        run_traces(parse_graph6("Gyh|^k"), 16, 1, threads=2)
+        assert pools == [2]
