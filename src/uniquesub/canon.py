@@ -2,7 +2,11 @@
 
 The canonical form is the lexicographically minimal packed upper-triangle
 encoding over all relabellings reachable by iterated equitable degree
-refinement with backtracking over the first non-singleton cell.
+refinement with backtracking over the first non-singleton cell.  A child
+is refined from its target cell on: the cells before it are singletons of
+an equitable partition, which split no cell of a finer partition and cannot
+be split, so the refinement of the whole child keeps them and refines the
+rest exactly as the refinement of the rest alone does.
 
 The search prunes with the automorphisms it finds (McKay 1981; McKay and
 Piperno, "Practical graph isomorphism II", 2014).  Two leaves with equal
@@ -13,13 +17,21 @@ the paths part.  Each leaf is compared with the first leaf and with the
 best one so far, and every automorphism found is merged into a union-find
 of vertex orbits.  All of them fix the first path down to the node being
 searched, so a first-path child in the known orbit of a child already
-searched is skipped.  A node is also cut when the code rows its leading
-singleton cells fix exceed the best leaf's and differ from the first
-leaf's.  No rule drops the first minimal leaf in search order, so the
-code is that of the unpruned search.  When a first-path node is done, the
-automorphisms found generate its stabiliser, so by orbit-stabiliser |Aut|
-is the product over first-path nodes of the orbit size of the first child
-within its target cell.
+searched is skipped.  Twins, two vertices whose rows agree but for each
+other's bit, give automorphisms without a leaf: swapping them fixes every
+other vertex, so it fixes the path to any node whose target cell holds
+both.  A first-path node joins the twins of its target cell once its first
+child is done (below that child the first vertex is fixed), and the orbit
+skip then drops them; an off-path node skips a child whose twin comes
+earlier in the cell, as the copy of that twin's subtree, and records the
+swap the same way.  A swap is kept only if it joins two orbits, so the
+union-find still holds the orbits of the automorphisms kept.  A node is
+also cut when the code rows its leading singleton cells fix exceed the
+best leaf's and differ from the first leaf's.  No rule drops the first
+minimal leaf in search order, so the code is that of the unpruned search.
+When a first-path node is done, the automorphisms found generate its
+stabiliser, so by orbit-stabiliser |Aut| is the product over first-path
+nodes of the orbit size of the first child within its target cell.
 
 ``canonicalize`` keeps no memo of the forms it computes: the search is
 deterministic, so a repeat call returns the same form, and no caller repeats
@@ -101,20 +113,41 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, tuple[tuple[int, ..
             v = orbit[v]
         return v
 
-    def join(order_a: list[int], order_b: list[int]) -> None:
-        """Merge orbits along the automorphism that sends the vertex at each
-        position of leaf a's vertex order to the one at that position of b's."""
-        image = [0] * n
-        for u, v in zip(order_a, order_b):
-            image[u] = v
+    def record(image: Sequence[int]) -> None:
+        """Keep an automorphism, vertex -> image, and merge the orbits it joins."""
+        found.append(tuple(image))
+        for u, v in enumerate(image):
             a, b = find(u), find(v)
             if a != b:
                 orbit[max(a, b)] = min(a, b)
-        found.append(tuple(image))
+
+    def twins(cell: list[int]) -> set[int]:
+        """The vertices of the cell with a twin before them in it; each swap
+        that joins two orbits is recorded.
+
+        Twins have equal rows but for each other's bit: equal open rows if
+        they are not adjacent, equal closed rows if they are.  No vertex has
+        twins of both kinds, so each vertex is checked against the first of
+        its twin class."""
+        head: dict[int, int] = {}
+        later = set()
+        for v in cell:
+            row = adj[v]
+            w = head.get(row, head.get(row | 1 << v, -1))
+            if w < 0:
+                head[row] = head[row | 1 << v] = v
+                continue
+            later.add(v)
+            if find(v) != find(w):
+                image = list(range(n))
+                image[v], image[w] = w, v
+                record(image)
+        return later
 
     def child(cells: list[list[int]], target: int, v: int) -> list[list[int]]:
         rest = [w for w in cells[target] if w != v]
-        return _refine(adj, cells[:target] + [[v], rest] + cells[target + 1:])
+        # the singletons before the target stay as they are (module docstring)
+        return cells[:target] + _refine(adj, [[v], rest] + cells[target + 1:])
 
     def settle(cells: list[list[int]], rows: int, code: int) -> tuple[int, int, int]:
         """(target cell, leading singleton count, their code rows) of a node.
@@ -147,6 +180,7 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, tuple[tuple[int, ..
         path.append(cell[0])
         order = first_path(child(cells, target, cell[0]), rows, code)
         path.pop()
+        twins(cell)
         searched = [cell[0]]
         for v in cell[1:]:
             if find(v) in {find(u) for u in searched}:
@@ -168,7 +202,11 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, tuple[tuple[int, ..
             return len(path)  # no leaf below is minimal or matches the first leaf
         if target >= 0:
             depth = len(path)
-            for v in cells[target]:
+            cell = cells[target]
+            copies = twins(cell)  # each heads a copy of the subtree at an earlier twin
+            for v in cell:
+                if v in copies:
+                    continue
                 path.append(v)
                 resume = explore(child(cells, target, v), rows, code)
                 path.pop()
@@ -180,7 +218,10 @@ def _search(adj: tuple[int, ...], n: int) -> tuple[int, int, tuple[tuple[int, ..
             # An automorphism fixing the common prefix of the two paths: the
             # subtree below it holding this leaf copies the one holding the other.
             other = first if code == first[0] else best
-            join(other[1], [cell[0] for cell in cells])
+            image = [0] * n
+            for u, v in zip(other[1], (cell[0] for cell in cells)):
+                image[u] = v
+            record(image)
             return next(d for d, (a, b) in enumerate(zip(path, other[2])) if a != b)
         best = (code, [cell[0] for cell in cells], tuple(path))
         return len(path)

@@ -45,15 +45,15 @@ from typing import Iterator
 
 from .canon import canonicalize, decode_canon_bytes
 from .errors import DomainError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _graph
 from .parallel import parallel_map
 
 MAX_ENUMERATION_N = 9
-# The lowest level built on the worker map.  On a 2-vCPU VM (seven runs
-# each, levels below prebuilt), level 6 took 33-36 ms in one process against
-# 53-60 ms on two workers, level 7 240-280 ms against 165-285 ms (medians
-# 255 and 261 ms: too little for a pool's start-up to pay), and level 8
-# 2.5-2.8 s against 1.48-1.52 s.
+# The lowest level built on the worker map.  On a 2-vCPU VM (levels below
+# prebuilt), level 6 took 12-20 ms in one process against 39-56 ms on two
+# workers (seven runs each), level 7 75-137 ms against 78-112 ms (ten
+# alternated pairs, medians 82 and 86 ms: too little for a pool's start-up
+# to pay), and level 8 0.90-1.07 s against 0.56-0.71 s (seven runs each).
 POOL_MIN_N = 8
 
 
@@ -112,7 +112,7 @@ def _children(work: tuple[bytes, int]) -> dict[bytes, int]:
             child[n - 1] = mask
             for u in _bits(mask):
                 child[u] |= new_bit
-            form = canonicalize(Graph(n, tuple(child)))
+            form = canonicalize(_graph(n, tuple(child)))
             children.setdefault(form.canon_bytes, form.aut_order)
             orbit = [mask]
             while orbit:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (all_labelled, bucket_all_labelled, decode_canon_bytes_from_edges,
                      exhaustive_canon, graph_from_mask, mask_from_graph, random_graph,
                      to_networkx)
+from uniquesub import canon
 from uniquesub.canon import (are_isomorphic, aut_order, canon_graph6, canonicalize,
                              decode_canon_bytes)
 from uniquesub.census import census_entries, enumerate_unlabelled
@@ -138,6 +139,34 @@ class TestAgainstExhaustiveSearch:
                 assert canonicalize(g) == exhaustive_canon(g)
 
 
+def test_refinement_below_the_fixed_prefix():
+    # The search refines a child only from its target cell on: the cells
+    # before it are singletons of an equitable partition, which neither split
+    # a cell of a finer partition nor can be split.  Every child of up to 100
+    # equitable partitions per graph, against refining the whole child.
+    rng = random.Random(16)
+    checked = 0
+    for n in range(2, 17):
+        for p in (0.1, 0.2, 0.3, 0.5, 0.7, 0.8, 0.9):
+            adj = random_graph(n, p, rng).adj
+            pending = [canon._refine(adj, [list(range(n))])]
+            for _ in range(100):
+                if not pending:
+                    break
+                cells = pending.pop(0)
+                target = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
+                if target < 0:
+                    continue
+                for v in cells[target]:
+                    rest = [w for w in cells[target] if w != v]
+                    whole = canon._refine(adj, cells[:target] + [[v], rest] + cells[target + 1:])
+                    suffix = canon._refine(adj, [[v], rest] + cells[target + 1:])
+                    assert cells[:target] + suffix == whole
+                    pending.append(whole)
+                    checked += target > 0
+    assert checked > 1000  # children below a prefix of one singleton or more
+
+
 def _hypercube(d: int):
     return from_edges(1 << d, [(v, v | 1 << i) for v in range(1 << d) for i in range(d)
                                if not v >> i & 1])
@@ -160,6 +189,13 @@ SYMMETRIC = {
     "co-(C4+K3+9K1)": (complement(from_edges(16, [(0, 1), (1, 2), (2, 3), (3, 0),
                                                   (4, 5), (5, 6), (4, 6)])),
                        8 * 6 * factorial(9)),
+    # many small symmetric parts, most of them twins: pruning twins off the
+    # first path took its search from 9,557 refinements to 5,525
+    "5K1+3K3+2C5+C4": (from_edges(28, [(a + i, a + (i + 1) % k)
+                                       for a, k in ((5, 3), (8, 3), (11, 3), (14, 5), (19, 5),
+                                                    (24, 4))
+                                       for i in range(k)]),
+                       factorial(5) * factorial(3) ** 3 * factorial(3) * 10 ** 2 * 2 * 8),
 }
 
 
@@ -172,6 +208,24 @@ def test_symmetric_graph_aut_order_and_relabelling(name):
     form_g, form_h = canonicalize(g), canonicalize(relabel(g, perm))
     assert form_g.aut_order == form_h.aut_order == order
     assert form_h.canon_bytes == form_g.canon_bytes
+
+
+@pytest.mark.parametrize("g", [complete_graph(64), empty_graph(64)], ids=["K64", "empty64"])
+def test_twins_leave_one_refinement_per_level(monkeypatch, g):
+    # Every pair of vertices is a twin pair, so the search refines the root
+    # and the 63 first-path children only; without twin pruning it made
+    # 2,080 refinements.  A count, unlike a time, is the same on any machine.
+    calls = 0
+    refine = canon._refine
+
+    def counting(adj, cells):
+        nonlocal calls
+        calls += 1
+        return refine(adj, cells)
+
+    monkeypatch.setattr(canon, "_refine", counting)
+    assert canonicalize(g).aut_order == factorial(64)
+    assert calls == 64
 
 
 def _group_order(n, generators):

@@ -173,9 +173,9 @@ def test_canonicalize_calls_per_level(monkeypatch):
 # census(1..7) by the order of the graph, parents' searches included.
 # Without automorphism pruning the search made 1, 6, 29, 174, 988, 6751 and
 # 48974; canonicalising every mask that passes the augmentation filter made
-# 1, 6, 21, 88, 360, 1797 and 10963.  A lost pruning rule shows up here on
-# any machine.
-SEARCH_NODES = {1: 2, 2: 12, 3: 36, 4: 134, 5: 450, 6: 2117, 7: 6061}
+# 1, 6, 21, 88, 360, 1797 and 10963; before twin pruning it made 2, 12, 36,
+# 134, 450, 2117 and 6061.  A lost pruning rule shows up here on any machine.
+SEARCH_NODES = {1: 2, 2: 8, 3: 20, 4: 74, 5: 238, 6: 1185, 7: 3531}
 
 
 def test_search_nodes_per_level(monkeypatch):
