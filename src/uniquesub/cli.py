@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 from . import __version__
 from .canon import canon_graph6
 from .census import MAX_ENUMERATION_N, census_entries, nontrivial_aut_fraction, polya_report
-from .embedding import (ALL_SIZES, SPANNING_ONLY, estimate_unique_prob, f_max, f_of_h, f_table,
-                        unique_trial)
+from .embedding import (ALL_SIZES, SPANNING_ONLY, check_f_exact_order, estimate_unique_prob,
+                        f_max, f_of_h, f_table, unique_trial)
 from .errors import DomainError, UniquesubError
 from .graphs import VertexMap, emit_graph6, ingest_corpus, parse_graph6
 from .process import run_traces, trace_record
@@ -129,6 +129,8 @@ def _f_entry(fv) -> dict[str, Any]:
 
 def _cmd_f_exact(args: argparse.Namespace) -> dict[str, Any]:
     universe = _universe(args)
+    check_f_exact_order(args.n)  # before the census, which takes 16 s at n = 9
+    census_entries(args.n, args.threads)  # builds the census on --threads workers
     table = f_table(args.n, universe)
     best = _f_entry(f_max(table))
     return {"n": args.n, "universe": universe, "table": [_f_entry(fv) for fv in table],

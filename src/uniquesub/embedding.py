@@ -302,6 +302,12 @@ def _classes_by_key(hosts: Sequence[Graph]) -> dict[bytes, int]:
     return owner
 
 
+def check_f_exact_order(n: int) -> None:
+    """Refuse an f table, ``f-exact``'s, of order outside 1..``F_MAX_EXACT_MAX_N``."""
+    if not 1 <= n <= F_MAX_EXACT_MAX_N:
+        raise DomainError(f"exact f maximization supports 1..{F_MAX_EXACT_MAX_N}, got {n}")
+
+
 def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
     """f of one host per isomorphism class of order ``n``, in census order,
     every host decided in one pass over the census by edge deletion.
@@ -325,8 +331,7 @@ def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
     canonicalised.  The signature names every class alone up to n = 7, and
     12,174 of the 12,346 at n = 8.  Each of its fields fits a byte while
     n <= 24: a vertex lies on at most C(23, 2) = 253 triangles."""
-    if not 1 <= n <= F_MAX_EXACT_MAX_N:
-        raise DomainError(f"exact f maximization supports 1..{F_MAX_EXACT_MAX_N}, got {n}")
+    check_f_exact_order(n)
     if universe not in (ALL_SIZES, SPANNING_ONLY):
         raise DomainError(f"unknown universe {universe!r}")
     entries = census_entries(n)
@@ -355,8 +360,8 @@ def f_table(n: int, universe: str = ALL_SIZES) -> list[FValue]:
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
                 child = by_key[_signature(adj)]
-                if child < 0:
-                    child = index[canonicalize(Graph(n, tuple(adj))).canon_bytes]
+                if child < 0:  # H's rows less one edge: valid by construction
+                    child = index[canonicalize(_graph(n, tuple(adj))).canon_bytes]
                 carry = below[child]
                 children |= carry
                 for j, plane in enumerate(planes):

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import ceil, comb, floor, isfinite
-from typing import Any, Iterable, Mapping
+from typing import Any
 
-from .embedding import CountOutcome, count_embeddings
+from .embedding import count_embeddings
 from .errors import DomainError
 from .graphs import Graph, MAX_VERTICES, _graph
 from .parallel import parallel_map
 from .sampling import derive_rng, random_pair_order
 
-# An embedding trajectory counts every embedding at each probed step.  Step
+# An embedding trajectory counts every embedding at every step.  Step
 # 0's n! are counted without a search, its vertices all being isolated, but
 # the middle steps' live parts still span nearly every vertex.  One full
 # trajectory (three seeded traces each, one process, 2-vCPU VM) took at most
@@ -37,7 +37,6 @@ class ProcessTrace:
     """Edge ordering of all n(n-1)/2 pairs; graphs are materialized on demand."""
 
     n: int
-    seed: int
     edge_order: tuple[tuple[int, int], ...]
 
     @property
@@ -81,12 +80,11 @@ class XStatistic:
     interval: UniquenessInterval
 
 
-def sample_trace(n: int, seed: int, index: int | None = None) -> ProcessTrace:
-    """Uniform random pair ordering; ``index`` derives a per-trace stream."""
+def sample_trace(n: int, seed: int, index: int) -> ProcessTrace:
+    """Uniform random pair ordering drawn from stream ``index`` of ``seed``."""
     if not 1 <= n <= MAX_VERTICES:
         raise DomainError(f"vertex count {n} outside 1..{MAX_VERTICES}")
-    rng = derive_rng(seed, index)
-    return ProcessTrace(n=n, seed=seed, edge_order=random_pair_order(n, rng))
+    return ProcessTrace(n=n, edge_order=random_pair_order(n, derive_rng(seed, index)))
 
 
 def check_scan_order(n: int) -> None:
@@ -98,21 +96,19 @@ def check_scan_order(n: int) -> None:
                           "that span nearly every vertex")
 
 
-def embedding_trajectory(trace: ProcessTrace, h: Graph,
-                         probe_set: Iterable[int]) -> Mapping[int, CountOutcome]:
-    """Exact embedding counts of G_m into ``h`` at each probed m; refused on
-    hosts above ``SCAN_ALL_MAX_N`` vertices, whatever the probes."""
+def embedding_trajectory(trace: ProcessTrace, h: Graph) -> list[int]:
+    """Exact embedding count of G_m into ``h`` at every step, indexed by m;
+    refused on hosts above ``SCAN_ALL_MAX_N`` vertices."""
     if h.n != trace.n:
         raise DomainError("host order must match the trace order")
     check_scan_order(h.n)
-    return {m: count_embeddings(trace.graph_at(m), h)
-            for m in sorted(set(probe_set))}
+    return [count_embeddings(trace.graph_at(m), h).count
+            for m in range(trace.total_pairs + 1)]
 
 
 def _category(trace: ProcessTrace, h: Graph, m: int) -> int:
     """0, 1, or 2 meaning zero / one / at least two embeddings at step m."""
-    out = count_embeddings(trace.graph_at(m), h, early_exit_at=2)
-    return min(out.count, 2)
+    return count_embeddings(trace.graph_at(m), h, early_exit_at=2).count
 
 
 def uniqueness_interval(trace: ProcessTrace, h: Graph) -> UniquenessInterval:
@@ -194,9 +190,7 @@ def trace_record(h: Graph, seed: int, L: float | None, scan_all: bool,
         rec.update(L=L, x=xs.x, window=[xs.i_lo, xs.i_hi])
     rec["interval"] = None if interval.is_empty else [interval.lo, interval.hi]
     if scan_all:
-        steps = range(trace.total_pairs + 1)
-        rec["probes"] = [[m, out.count]
-                         for m, out in embedding_trajectory(trace, h, steps).items()]
+        rec["probes"] = [[m, count] for m, count in enumerate(embedding_trajectory(trace, h))]
     return rec
 
 

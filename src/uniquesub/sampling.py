@@ -1,8 +1,8 @@
 """Seedable random sources shared by every stochastic operation.
 
 All sampling runs on counter-based Philox4x64-10 streams (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011), so per-trial
-generators are derived from (seed, trial index) without coordination, which
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Every stream, one
+per trial or trace, is keyed by (seed, index) without coordination, which
 keeps Monte-Carlo runs reproducible under any work scheduling.
 
 The stream is numpy's ``Generator(Philox(SeedSequence(seed, spawn_key=
@@ -73,9 +73,8 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence's pool after every word of ``seed``, and the hash multiplier
     it leaves: the part of a stream's key that the trial index does not touch.
 
-    numpy zero-pads the seed's words to the pool size when a spawn key
-    follows; without one it hashes zeros in their place, so the pool is the
-    same either way and the index's words always come after all of the seed's.
+    A spawn key always follows, so numpy zero-pads the seed's words to the
+    pool size and the index's words come after all of the seed's.
     One entry is kept: every unit of a run shares its seed."""
     words = _words32(seed)
     hashmix = _Hash(_INIT_A, _MULT_A)
@@ -88,12 +87,11 @@ def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     return tuple(pool), hashmix.const
 
 
-def _philox_key(seed: int, index: int | None) -> tuple[int, int]:
+def _philox_key(seed: int, index: int) -> tuple[int, int]:
     """``SeedSequence(seed, spawn_key=(index,)).generate_state(2, uint64)``."""
     seeded, const = _seed_pool(seed)
     pool = list(seeded)
-    if index is not None:
-        _absorb(pool, _words32(index), _Hash(const, _MULT_A))
+    _absorb(pool, _words32(index), _Hash(const, _MULT_A))
     s0, s1, s2, s3 = map(_Hash(_INIT_B, _MULT_B), pool)
     return s0 | s1 << 32, s2 | s3 << 32
 
@@ -166,11 +164,11 @@ class PhiloxStream:
         return out
 
 
-def derive_rng(seed: int, index: int | None = None) -> PhiloxStream:
-    """Stream for a run, or for one trial of a run when ``index`` is given;
-    it draws what numpy's ``Generator(Philox(SeedSequence(seed,
+def derive_rng(seed: int, index: int) -> PhiloxStream:
+    """Stream ``index`` of a run seeded ``seed``, for one trial or trace; it
+    draws what numpy's ``Generator(Philox(SeedSequence(seed,
     spawn_key=(index,))))`` draws."""
-    if seed < 0 or (index is not None and index < 0):
+    if seed < 0 or index < 0:
         raise DomainError("seed and index must be non-negative")
     return PhiloxStream(_philox_key(seed, index))
 

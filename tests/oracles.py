@@ -221,13 +221,10 @@ def gnp_half_from_edges(n: int, rng) -> Graph:
     return from_edges(n, [pair for idx, pair in enumerate(pairs) if raw[idx >> 3] >> (idx & 7) & 1])
 
 
-def numpy_generator(seed: int, index: int | None = None) -> np.random.Generator:
+def numpy_generator(seed: int, index: int) -> np.random.Generator:
     """numpy's generator for the stream ``sampling.derive_rng(seed, index)``
     reproduces, with numpy's other draws (``integers``, ``permuted``) too."""
-    if index is None:
-        ss = np.random.SeedSequence(entropy=seed)
-    else:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
     return np.random.Generator(np.random.Philox(ss))
 
 

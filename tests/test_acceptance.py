@@ -97,7 +97,7 @@ def test_c06_supergraph_conditional_simulation():
     for which, (e_h, total, m_star, m2) in enumerate(tuples):
         p = supergraph_completion_prob(e_h, total, m_star, m2)
         assert (e_h, total, m_star, m2) != tuples[0] or p == Fraction(1, 6)
-        rng = numpy_generator(60_000 + which, None)
+        rng = numpy_generator(60_000 + which, 0)
         draw = m2 - m_star
         pool = total - m_star
         grid = np.tile(np.arange(pool), (trials, 1))

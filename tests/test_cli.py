@@ -17,6 +17,8 @@ from uniquesub.switching import RefinementResult
 
 # sha256 of ``enumerate --n 8 --out``, as perfbench/workloads.py pins it.
 CENSUS8_SHA256 = "cb8f7a3f9e37e055c4555501c61cb2487ff4e2d1f5287b8510c5a2435c942d28"
+# sha256 of ``f-exact --n 6``'s stdout, as perfbench/workloads.py pins it.
+FEXACT6_SHA256 = "085c74761d2013ec3006237d55a5f99f2e72256d23e5f0e62c04362c324d9cc2"
 
 
 def run_cli(capsys, *argv):
@@ -263,6 +265,18 @@ class TestOnePathPerCommand:
         code, out, _ = run_cli(capsys, "enumerate", "--n", "7")
         assert code == 0 and len(out.splitlines()) == 1044
         assert pools == []
+
+    def test_f_exact_builds_its_census_on_the_pool(self, capsys, monkeypatch, pools,
+                                                   fresh_census):
+        # as in enumerate, polya and f-of-h; level 6 goes on the map here
+        _, serial, _ = run_cli(capsys, "--threads", "1", "f-exact", "--n", "6")
+        census._census.cache_clear()
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(census, "POOL_MIN_N", 6)
+        code, pooled, _ = run_cli(capsys, "--threads", "2", "f-exact", "--n", "6")
+        assert code == 0 and pools == [2]
+        assert hashlib.sha256(pooled.encode()).hexdigest() == FEXACT6_SHA256
+        assert pooled == serial
 
     def test_enumerate_file_is_thread_invariant(self, capsys, tmp_path):
         """The n=8 census written at one thread and at two is the same file:

@@ -77,7 +77,7 @@ class TestCountEmbeddings:
 
     def test_early_exit_matches_exact_projection(self):
         rng = numpy_generator(555, 0)
-        gen = derive_rng(7000, None)
+        gen = derive_rng(7000, 0)
         for trial in range(10_000):
             g = gnp_half(int(rng.integers(2, 6)), gen)
             h = gnp_half(int(rng.integers(4, 7)), gen)

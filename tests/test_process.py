@@ -23,16 +23,16 @@ from uniquesub.sampling import derive_rng, gnp_half
 
 class TestTrace:
     def test_endpoints(self):
-        tr = sample_trace(5, seed=1)
+        tr = sample_trace(5, seed=1, index=0)
         assert tr.graph_at(0).edge_count() == 0
         assert tr.graph_at(10) == complete_graph(5)
 
     def test_edge_order_is_permutation(self):
-        tr = sample_trace(6, seed=2)
+        tr = sample_trace(6, seed=2, index=0)
         assert sorted(tr.edge_order) == pair_list(6)
 
     def test_reproducible_and_indexed(self):
-        assert sample_trace(5, 7).edge_order == sample_trace(5, 7).edge_order
+        assert sample_trace(5, 7, 0).edge_order == sample_trace(5, 7, 0).edge_order
         assert sample_trace(5, 7, index=0).edge_order != sample_trace(5, 7, index=1).edge_order
 
     def test_pinned_steps(self):
@@ -65,48 +65,46 @@ class TestTrace:
 
 class TestTrajectory:
     def test_empty_start_counts_everything(self):
-        tr = sample_trace(4, seed=3)
+        tr = sample_trace(4, seed=3, index=0)
         h = gnp_half(4, derive_rng(4, 0))
-        out = embedding_trajectory(tr, h, [0])
-        assert out[0].count == factorial(4)
+        assert embedding_trajectory(tr, h)[0] == factorial(4)
 
     def test_complete_host_full_count_at_end(self):
-        tr = sample_trace(4, seed=5)
-        traj = embedding_trajectory(tr, complete_graph(4), [6])
-        assert traj[6].count == factorial(4)
+        tr = sample_trace(4, seed=5, index=0)
+        assert embedding_trajectory(tr, complete_graph(4))[6] == factorial(4)
 
     def test_non_increasing_full_scans(self):
         for t in range(25):
             tr = sample_trace(5, seed=900, index=t)
             h = gnp_half(5, derive_rng(901, t))
-            counts = [count_embeddings(tr.graph_at(m), h).count for m in range(11)]
+            counts = embedding_trajectory(tr, h)
+            assert counts == [count_embeddings(tr.graph_at(m), h).count for m in range(11)]
             assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_order_mismatch(self):
         with pytest.raises(DomainError):
-            embedding_trajectory(sample_trace(4, 1), complete_graph(5), [0])
+            embedding_trajectory(sample_trace(4, 1, 0), complete_graph(5))
 
     def test_refuses_ten_vertices_before_any_count(self, monkeypatch):
-        # step 0 alone has 10! embeddings into K10; even a late probe is refused
+        # step 0 alone has 10! embeddings into K10
         def refuse(*args, **kwargs):
             raise AssertionError("a search ran")
 
         monkeypatch.setattr(process, "count_embeddings", refuse)
-        for probes in ([0], [45]):
-            with pytest.raises(DomainError, match=r"1\.\.9 vertices, got 10"):
-                embedding_trajectory(sample_trace(10, 1), complete_graph(10), probes)
+        with pytest.raises(DomainError, match=r"1\.\.9 vertices, got 10"):
+            embedding_trajectory(sample_trace(10, 1, 0), complete_graph(10))
 
 
 class TestUniquenessInterval:
     def test_complete_host_empty(self):
-        tr = sample_trace(3, seed=8)
+        tr = sample_trace(3, seed=8, index=0)
         assert uniqueness_interval(tr, complete_graph(3)).is_empty
 
     def test_trace_reaching_rigid_host(self):
         h = next(g for g in enumerate_unlabelled(6) if aut_order(g) == 1)
         edges = list(h.edges())
         rest = [p for p in pair_list(6) if p not in edges]
-        tr = ProcessTrace(6, 0, tuple(edges + rest))
+        tr = ProcessTrace(6, tuple(edges + rest))
         iv = uniqueness_interval(tr, h)
         assert not iv.is_empty and iv.lo <= h.edge_count() <= iv.hi
 
@@ -114,7 +112,7 @@ class TestUniquenessInterval:
         # n=5 intervals are always empty (no rigid order-5 graph), so the
         # non-empty branch is exercised with traces that realize each rigid
         # 6-vertex host at step e(H); endpoints re-verified by direct counts
-        rng = derive_rng(321321, None)
+        rng = derive_rng(321321, 0)
         for h in enumerate_unlabelled(6):
             if aut_order(h) != 1:
                 continue
@@ -122,7 +120,7 @@ class TestUniquenessInterval:
             rest = [p for p in pair_list(6) if p not in edges]
             order = ([edges[i] for i in rng.permutation(len(edges))]
                      + [rest[i] for i in rng.permutation(len(rest))])
-            tr = ProcessTrace(6, 0, tuple(order))
+            tr = ProcessTrace(6, tuple(order))
             iv = uniqueness_interval(tr, h)
             assert not iv.is_empty and iv.lo <= h.edge_count() <= iv.hi
             ones = [m for m in range(tr.total_pairs + 1)
@@ -145,7 +143,7 @@ class TestUniquenessInterval:
 
 class TestXStatistic:
     def test_complete_host_zero(self):
-        tr = sample_trace(4, seed=10)
+        tr = sample_trace(4, seed=10, index=0)
         assert x_statistic(tr, complete_graph(4), 1.0).x == 0
 
     def test_huge_window_equals_interval_length(self):
@@ -169,12 +167,12 @@ class TestXStatistic:
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(DomainError):
-            x_statistic(sample_trace(4, 1), complete_graph(4), 0.0)
+            x_statistic(sample_trace(4, 1, 0), complete_graph(4), 0.0)
 
     @pytest.mark.parametrize("L", [float("inf"), float("nan")])
     def test_rejects_non_finite_width(self, L):
         with pytest.raises(DomainError, match="finite"):
-            x_statistic(sample_trace(4, 1), complete_graph(4), L)
+            x_statistic(sample_trace(4, 1, 0), complete_graph(4), L)
 
 
 class TestCompletionProbability:
@@ -203,7 +201,7 @@ class TestCompletionProbability:
         e_h, total, m_star, m2 = 4, 6, 2, 4
         p = supergraph_completion_prob(e_h, total, m_star, m2)
         trials = 20_000
-        rng = derive_rng(112233, None)
+        rng = derive_rng(112233, 0)
         hits = 0
         for _ in range(trials):
             remaining = rng.permutation(total - m_star)[: m2 - m_star]
@@ -227,7 +225,7 @@ class TestCompletionProbability:
 
 
 def test_g_m_has_m_edges():
-    tr = sample_trace(6, seed=55)
+    tr = sample_trace(6, seed=55, index=0)
     for m in (0, 3, 9, 15):
         assert tr.graph_at(m).edge_count() == m
     assert comb(6, 2) == tr.total_pairs
